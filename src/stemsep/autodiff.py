@@ -1,7 +1,8 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Implements exactly the operation set the separation model needs: 2-D
-convolution, batch normalization, ReLU/sigmoid/tanh, 2x2 average pooling,
+convolution, batch normalization (plus an eval-mode BN + ReLU fused into
+a zero-bordered map), ReLU/sigmoid/tanh, 2x2 average pooling,
 stride-2 transposed convolution, affine maps, concatenation, slicing and
 the usual elementwise/reduction glue. Each operation records a backward
 closure; `Tensor.backward()` runs a reverse topological sweep.
@@ -36,14 +37,15 @@ __all__ = [
     "tanh",
     "tsum",
     "tmean",
-    "matmul",
     "affine",
     "conv2d",
     "avg_pool2",
     "conv_transpose2",
     "batch_norm_train",
     "batch_norm_eval",
+    "batch_norm_relu_eval",
     "concat",
+    "concat_view",
     "getitem",
     "reshape",
     "transpose2d",
@@ -65,7 +67,9 @@ class GraphError(RuntimeError):
 
 _grad_enabled = True
 
-# Cheap finiteness guard on the numerically risky ops (conv, BN, gates).
+# Cheap finiteness guard on the outputs of conv2d and sigmoid (and the
+# LSTM cell state). BN and ReLU are not checked themselves: they
+# propagate NaN/inf into the next conv2d, whose check raises.
 finite_checks = True
 
 
@@ -263,12 +267,12 @@ def neg(a):
 
 
 def relu(a):
-    mask = a.data > 0
-    out_data = np.where(mask, a.data, 0.0)
+    # np.maximum propagates NaN, so a bad input reaches the next checked op
+    out_data = np.maximum(a.data, 0)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * mask)
+            a._accumulate(g * (out_data > 0))
 
     return _make(out_data, (a,), backward)
 
@@ -319,20 +323,6 @@ def tmean(a):
 # linear algebra
 
 
-def matmul(a, b):
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError("matmul: shapes %r x %r" % (a.shape, b.shape))
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _make(out_data, (a, b), backward)
-
-
 def affine(x, weight, bias):
     """Rows of x mapped by weight (d_out, d_in) plus bias (d_out,)."""
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
@@ -356,8 +346,13 @@ def affine(x, weight, bias):
 # convolution family (inputs are (c, f, t) maps)
 
 
-def conv2d(x, weight, bias, padding="same"):
-    """Cross-correlation of a (c_in, f, t) map with (c_out, c_in, kh, kw)."""
+def conv2d(x, weight, bias, padding="same", out=None):
+    """Cross-correlation of a (c_in, f, t) map with (c_out, c_in, kh, kw).
+
+    out, when given, is the (c_out, fo, to) array the result is written
+    into (e.g. a slot of a dense block's channel buffer); the returned
+    tensor's data is that array.
+    """
     if x.ndim != 3 or weight.ndim != 4:
         raise ShapeError("conv2d: x %r, weight %r" % (x.shape, weight.shape))
     c_out, c_in, kh, kw = weight.shape
@@ -380,7 +375,13 @@ def conv2d(x, weight, bias, padding="same"):
         raise ShapeError("conv2d: input %r too small for %dx%d valid kernel" % (x.shape, kh, kw))
     xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
 
-    out_data = np.empty((c_out, fo, to), dtype=x.data.dtype)
+    if out is None:
+        out_data = np.empty((c_out, fo, to), dtype=x.data.dtype)
+    elif out.shape != (c_out, fo, to) or out.dtype != x.data.dtype:
+        raise ShapeError("conv2d: out %r %s, expected %r %s"
+                         % (out.shape, out.dtype, (c_out, fo, to), x.data.dtype))
+    else:
+        out_data = out
     out_data[:] = bias.data[:, None, None]
     w = weight.data
     # one GEMM per kernel row against the whole (unwindowed) input,
@@ -421,7 +422,9 @@ def avg_pool2(x):
     c, f, t = x.shape
     if f % 2 or t % 2:
         raise ShapeError("avg_pool2: spatial dims must be even, got %r (pad first)" % (x.shape,))
-    out_data = x.data.reshape(c, f // 2, 2, t // 2, 2).mean(axis=(2, 4))
+    xd = x.data
+    out_data = (xd[:, 0::2, 0::2] + xd[:, 0::2, 1::2]) + (xd[:, 1::2, 0::2] + xd[:, 1::2, 1::2])
+    out_data *= 0.25
 
     def backward(g):
         if x.requires_grad:
@@ -513,8 +516,8 @@ def batch_norm_train(x, gamma, beta, eps=1e-5):
     return _make(out_data, (x, gamma, beta), backward), mean, var
 
 
-def batch_norm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
-    """Affine standardization against fixed (running) statistics."""
+def _eval_affine(x, gamma, beta, running_mean, running_var, eps):
+    """Per-channel (inv_std, scale, shift) of eval-mode batch norm."""
     if x.ndim != 3:
         raise ShapeError("batch_norm: expected (c, f, t), got %r" % (x.shape,))
     c = x.shape[0]
@@ -523,16 +526,53 @@ def batch_norm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
     inv_std = 1.0 / np.sqrt(running_var + eps)
     scale_c = gamma.data * inv_std
     shift_c = beta.data - running_mean * scale_c
-    out_data = x.data * scale_c[:, None, None] + shift_c[:, None, None]
+    return inv_std, scale_c, shift_c
+
+
+def _eval_affine_backward(g, x, gamma, beta, running_mean, inv_std, scale_c):
+    if x.requires_grad:
+        x._accumulate(g * scale_c[:, None, None])
+    if gamma.requires_grad:
+        xhat = (x.data - running_mean[:, None, None]) * inv_std[:, None, None]
+        gamma._accumulate((g * xhat).sum(axis=(1, 2)))
+    if beta.requires_grad:
+        beta._accumulate(g.sum(axis=(1, 2)))
+
+
+def batch_norm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
+    """Affine standardization against fixed (running) statistics."""
+    inv_std, scale_c, shift_c = _eval_affine(x, gamma, beta, running_mean, running_var, eps)
+    out_data = x.data * scale_c[:, None, None]
+    out_data += shift_c[:, None, None]
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * scale_c[:, None, None])
-        if gamma.requires_grad:
-            xhat = (x.data - running_mean[:, None, None]) * inv_std[:, None, None]
-            gamma._accumulate((g * xhat).sum(axis=(1, 2)))
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(1, 2)))
+        _eval_affine_backward(g, x, gamma, beta, running_mean, inv_std, scale_c)
+
+    return _make(out_data, (x, gamma, beta), backward)
+
+
+def batch_norm_relu_eval(x, gamma, beta, running_mean, running_var, halo, eps=1e-5):
+    """relu(batch_norm_eval(x)) written into a zero halo.
+
+    The result is (c, f + 2*ph, t + 2*pw) for halo = (ph, pw): the
+    interior holds max(x*scale + shift, 0) and the border is zero, so a
+    following conv2d(..., padding="valid") equals a same-padded one on
+    the unpadded map, without np.pad. The affine map and the ReLU run
+    in place in the interior, with no temporaries. Differentiable
+    w.r.t. x, gamma and beta.
+    """
+    inv_std, scale_c, shift_c = _eval_affine(x, gamma, beta, running_mean, running_var, eps)
+    c, f, t = x.shape
+    ph, pw = halo
+    out_data = np.zeros((c, f + 2 * ph, t + 2 * pw), dtype=x.data.dtype)
+    inner = out_data[:, ph:ph + f, pw:pw + t]
+    np.multiply(x.data, scale_c[:, None, None], out=inner)
+    inner += shift_c[:, None, None]
+    np.maximum(inner, 0, out=inner)
+
+    def backward(g):
+        g_inner = g[:, ph:ph + f, pw:pw + t] * (inner > 0)
+        _eval_affine_backward(g_inner, x, gamma, beta, running_mean, inv_std, scale_c)
 
     return _make(out_data, (x, gamma, beta), backward)
 
@@ -554,7 +594,21 @@ def concat(tensors, axis=0):
         ):
             raise ShapeError("concat: incompatible shapes %r" % ([t.shape for t in tensors],))
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    return concat_view(out_data, tensors, axis)
+
+
+def concat_view(data, tensors, axis=0):
+    """The concat of tensors along axis, over `data`, an array that
+    already holds it (e.g. a view of a buffer the tensors were written
+    into). No copy is made; the backward is concat's. The caller must
+    not overwrite the covered part of `data` afterwards."""
+    tensors = list(tensors)
     sizes = [t.shape[axis] for t in tensors]
+    if data.shape[axis] != sum(sizes):
+        raise ShapeError("concat_view: %d along axis %d holds parts of sizes %r"
+                         % (data.shape[axis], axis, sizes))
+    if len(tensors) == 1:
+        return tensors[0]
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
@@ -564,7 +618,7 @@ def concat(tensors, axis=0):
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
 
-    return _make(out_data, tensors, backward)
+    return _make(data, tensors, backward)
 
 
 def getitem(x, key):

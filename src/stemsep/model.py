@@ -6,6 +6,17 @@ Conventions:
   * all feature maps are (channels, frequency, time)
   * a dense block's output is the concatenation of its layer outputs
     (l * growth channels); the block input is not re-emitted
+  * a dense block keeps its features in one (c_in + l * growth, f, t)
+    channel buffer: the block input is copied in once, each layer's
+    conv writes its output straight into its own slot, and layer j reads
+    the contiguous prefix view buf[:c_in + j * growth] as its input, so
+    no layer input is re-concatenated (Pleiss et al. 2017,
+    arXiv:1707.06990). The block returns the view buf[c_in:]. Training
+    and inference share this path; with grad on, each prefix is a
+    concat_view whose backward is concat's
+  * in eval mode a dense layer's BN and ReLU run as one fused pass that
+    writes into the interior of a zero-bordered map, and its conv runs
+    with valid padding on that map instead of padding a copy
   * an LSTM block produces a single feature map; the combination mode
     decides where it is concatenated (Sa: after the dense block, Sb:
     onto the slot input before the dense block, P: next to the dense
@@ -26,20 +37,39 @@ from .layers import BiLSTM, BatchNorm2d, Conv2d, ConvTranspose2x2, Linear, Modul
 
 
 class DenseLayer(Module):
-    """BN -> ReLU -> 3x3 conv with `growth` output maps."""
+    """BN -> ReLU -> 3x3 conv with `growth` output maps.
+
+    In eval mode BN and ReLU are one fused op that writes into a zero
+    halo of the conv's half kernel size, so the conv needs no padding.
+    out, when given, is the array the conv writes its output into.
+    """
 
     def __init__(self, c_in, growth, rng):
         super().__init__()
         self.bn = self.add_child("bn", BatchNorm2d(c_in))
         self.conv = self.add_child("conv", Conv2d(c_in, growth, 3, 3, rng))
 
-    def __call__(self, x):
-        return self.conv(ad.relu(self.bn(x)))
+    def __call__(self, x, out=None):
+        bn, w, b = self.bn, self.conv.weight, self.conv.bias
+        if bn.training:
+            return ad.conv2d(ad.relu(bn(x)), w, b, out=out)
+        h = ad.batch_norm_relu_eval(
+            x, bn.gamma, bn.beta, bn._buffers["running_mean"], bn._buffers["running_var"],
+            (w.shape[2] // 2, w.shape[3] // 2), bn.eps,
+        )
+        return ad.conv2d(h, w, b, padding="valid", out=out)
 
 
 class DenseBlock(Module):
     """Densely connected stack: layer j consumes the block input plus
-    every earlier layer output; the block emits the layer outputs."""
+    every earlier layer output; the block emits the layer outputs.
+
+    All of them live in one (c_in + layers * growth, f, t) channel
+    buffer. Layer j writes its output into channels
+    [c_in + j * growth, c_in + (j + 1) * growth) and reads the prefix
+    view of every channel before that slot (layer 0 reads the block
+    input itself); the block returns the view past the input channels.
+    """
 
     def __init__(self, c_in, layers, growth, rng):
         super().__init__()
@@ -56,13 +86,15 @@ class DenseBlock(Module):
     def __call__(self, x):
         if not self.layers:
             return x
-        outputs = []
-        state = x
+        c_in, k = self.c_in, self.growth
+        buf = np.empty((c_in + self.layers * k,) + x.shape[1:], dtype=x.data.dtype)
+        buf[:c_in] = x.data
+        parts = [x]
         for j in range(self.layers):
-            y = self._children["layer%d" % j](state)
-            outputs.append(y)
-            state = ad.concat([x] + outputs, axis=0)
-        return ad.concat(outputs, axis=0)
+            lo = c_in + j * k
+            state = ad.concat_view(buf[:lo], parts, axis=0)
+            parts.append(self._children["layer%d" % j](state, out=buf[lo:lo + k]))
+        return ad.concat_view(buf[c_in:], parts[1:], axis=0)
 
 
 class LstmBlock(Module):
@@ -453,9 +485,9 @@ def read_checkpoint_header(path):
         return json.loads(fh.read(n).decode()), fh.tell()
 
 
-def load_checkpoint(path, model: SeparationModel, strict_arch=True):
+def load_checkpoint(path, model: SeparationModel):
     header, payload_start = read_checkpoint_header(path)
-    if strict_arch and header["arch_sha256"] != model.spec.content_hash():
+    if header["arch_sha256"] != model.spec.content_hash():
         raise CheckpointError(
             "%s: checkpoint architecture hash does not match this model" % path
         )

@@ -71,6 +71,23 @@ def test_conv2d_shape_errors():
     w2 = ad.constant(np.zeros((3, 2, 2, 2)))
     with pytest.raises(ad.ShapeError):
         ad.conv2d(x, w2, b, padding="same")
+    w3 = ad.constant(np.zeros((3, 2, 3, 3)))
+    with pytest.raises(ad.ShapeError):
+        ad.conv2d(x, w3, b, out=np.empty((3, 4, 5)))
+    with pytest.raises(ad.ShapeError):
+        ad.conv2d(x, w3, b, out=np.empty((3, 4, 4), dtype=np.float32))
+
+
+def test_conv2d_writes_into_out():
+    rng = np.random.default_rng(1)
+    x = ad.constant(rand(rng, 2, 5, 6))
+    w = ad.constant(rand(rng, 3, 2, 3, 3))
+    b = ad.constant(rand(rng, 3))
+    buf = np.full((5, 5, 6), 9.0)
+    y = ad.conv2d(x, w, b, out=buf[1:4])
+    assert np.shares_memory(y.data, buf)
+    np.testing.assert_array_equal(buf[1:4], ad.conv2d(x, w, b).data)
+    np.testing.assert_array_equal(buf[[0, 4]], 9.0)
 
 
 def test_conv2d_nonfinite_detection():
@@ -123,6 +140,25 @@ def test_avg_pool2_matches_loop_oracle():
             for j in range(4):
                 expected[c, i, j] = x[c, 2 * i:2 * i + 2, 2 * j:2 * j + 2].mean()
     np.testing.assert_allclose(out.data, expected, rtol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_avg_pool2_matches_reshape_mean(dtype):
+    """The strided-slice sum against the reshape-mean it replaced."""
+    rng = np.random.default_rng(4)
+    for shape in [(3, 6, 8), (2, 2, 4), (5, 130, 18), (4, 64, 256)]:
+        x = (rand(rng, *shape) * 10.0 ** rng.uniform(-3, 3, shape)).astype(dtype)
+        c, f, t = shape
+        expected = x.reshape(c, f // 2, 2, t // 2, 2).mean(axis=(2, 4))
+        out = ad.avg_pool2(ad.constant(x)).data
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, expected)
+    # for a single output column numpy sums the four terms in sequence,
+    # not pairwise, so the two differ by rounding there
+    x = rand(rng, 3, 8, 2).astype(dtype)
+    expected = x.reshape(3, 4, 2, 1, 2).mean(axis=(2, 4))
+    np.testing.assert_allclose(ad.avg_pool2(ad.constant(x)).data, expected,
+                               rtol=4 * np.finfo(dtype).eps)
 
 
 def test_conv_transpose2_replicates_blocks():
@@ -229,14 +265,63 @@ def test_batch_norm_eval_uses_running_stats():
     assert abs(y1.data.mean()) > 1e-6
 
 
+def eval_stats(rng, c, dtype=np.float64):
+    gamma = ad.parameter((1.0 + 0.3 * rand(rng, c)).astype(dtype))
+    beta = ad.parameter((0.5 * rand(rng, c)).astype(dtype))
+    mean = (0.2 * rand(rng, c)).astype(dtype)
+    var = rng.uniform(0.5, 2.0, c).astype(dtype)
+    return gamma, beta, mean, var
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_norm_relu_eval_matches_unfused_padded(dtype):
+    rng = np.random.default_rng(15)
+    x = ad.constant(rand(rng, 3, 5, 7).astype(dtype))
+    gamma, beta, mean, var = eval_stats(rng, 3, dtype)
+    ref = ad.relu(ad.batch_norm_eval(x, gamma, beta, mean, var)).data
+    for ph, pw in [(1, 1), (0, 0), (2, 1)]:
+        out = ad.batch_norm_relu_eval(x, gamma, beta, mean, var, (ph, pw)).data
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, np.pad(ref, ((0, 0), (ph, ph), (pw, pw))))
+
+
+def test_batch_norm_relu_eval_grad_check():
+    rng = np.random.default_rng(16)
+    # keep pre-activations away from the ReLU kink for finite differences
+    x = ad.parameter(rand(rng, 3, 4, 5) + np.where(rand(rng, 3, 4, 5) > 0, 0.8, -0.8))
+    gamma, beta, mean, var = eval_stats(rng, 3)
+    w = ad.constant(rand(rng, 2, 3, 3, 3))
+    b = ad.constant(np.zeros(2))
+
+    def build():
+        h = ad.batch_norm_relu_eval(x, gamma, beta, mean, var, (1, 1))
+        y = ad.conv2d(h, w, b, padding="valid")
+        return ad.tmean(ad.mul(y, y))
+
+    report = ad.grad_check(build, [("x", x), ("gamma", gamma), ("beta", beta)],
+                           rng=rng, max_entries=10, shrink_retries=2)
+    assert report["passed"], report
+
+
+def test_batch_norm_relu_eval_propagates_nan():
+    rng = np.random.default_rng(17)
+    x = ad.constant(rand(rng, 2, 3, 3))
+    gamma, beta, mean, var = eval_stats(rng, 2)
+    var[1] = np.nan
+    out = ad.batch_norm_relu_eval(x, gamma, beta, mean, var, (1, 1)).data
+    assert np.all(np.isnan(out[1, 1:-1, 1:-1]))
+    assert np.all(np.isfinite(out[0]))
+
+
 # ---------------------------------------------------------------------------
 # relu / elementwise
 
 
 def test_relu_basic_and_grad():
-    x = ad.constant(np.array([-1.0, 0.0, 2.0]))
+    x = ad.constant(np.array([-1.0, 0.0, 2.0, np.nan]))
     out = ad.relu(x)
-    np.testing.assert_allclose(out.data, [0.0, 0.0, 2.0])
+    # NaN passes through, so the next checked op reports it
+    np.testing.assert_allclose(out.data, [0.0, 0.0, 2.0, np.nan])
 
     rng = np.random.default_rng(9)
     # keep values away from the kink for finite differences
@@ -294,6 +379,19 @@ def test_concat_channels_order_and_grad():
 def test_concat_single_is_identity():
     a = ad.constant(np.ones((2, 2, 2)))
     assert ad.concat([a], axis=0) is a
+
+
+def test_concat_view_wraps_data_without_copy():
+    a = ad.parameter(np.ones((1, 2, 2)))
+    b = ad.parameter(2 * np.ones((2, 2, 2)))
+    buf = np.concatenate([a.data, b.data])
+    out = ad.concat_view(buf, [a, b])
+    assert out.data is buf
+    ad.tsum(ad.mul(out, out)).backward()
+    np.testing.assert_array_equal(a.grad, 2.0)
+    np.testing.assert_array_equal(b.grad, 4.0)
+    with pytest.raises(ad.ShapeError):
+        ad.concat_view(buf[:2], [a, b])
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,56 @@ def test_dense_block_channel_arithmetic():
     assert blk(x).shape == (70, 8, 8)
 
 
+def dense_block_reference(blk, x):
+    """The re-concatenating dense block the channel buffer replaced:
+    unfused BN -> ReLU -> same-padded conv, and each layer input a fresh
+    concat of the block input and every earlier output."""
+    outputs = []
+    state = x
+    for j in range(blk.layers):
+        layer = blk._children["layer%d" % j]
+        outputs.append(layer.conv(ad.relu(layer.bn(state))))
+        state = ad.concat([x] + outputs, axis=0)
+    return ad.concat(outputs, axis=0)
+
+
+def randomize_running_stats(module, rng):
+    for child in module._children.values():
+        randomize_running_stats(child, rng)
+    if "running_var" in module._buffers:
+        c = module._buffers["running_var"].shape
+        module._buffers["running_mean"][...] = 0.2 * rng.standard_normal(c)
+        module._buffers["running_var"][...] = rng.uniform(0.5, 2.0, c)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("training", [False, True])
+def test_dense_block_matches_concat_reference(dtype, layers, training):
+    blk = DenseBlock(2, layers, 4, RNG(40)).astype(dtype)
+    randomize_running_stats(blk, RNG(41))
+    blk.set_training(training)
+    x = ad.parameter(RNG(42).standard_normal((2, 6, 10)).astype(dtype))
+    params = [x] + [p for _, p in blk.named_params()]
+
+    if not training:
+        with ad.no_grad():
+            np.testing.assert_array_equal(blk(x).data, dense_block_reference(blk, x).data)
+
+    grads = []
+    for run in (blk, lambda v: dense_block_reference(blk, v)):
+        for p in params:
+            p.zero_grad()
+        y = run(x)
+        ad.tsum(ad.mul(y, y)).backward()
+        grads.append((y.data.copy(), [p.grad for p in params]))
+    (y_new, g_new), (y_ref, g_ref) = grads
+    assert y_new.dtype == dtype
+    np.testing.assert_array_equal(y_new, y_ref)
+    for a, b in zip(g_new, g_ref):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_dense_block_degenerate_passthrough():
     blk = DenseBlock(5, 0, 14, RNG())
     x = ad.constant(RNG(2).standard_normal((5, 4, 4)))
@@ -213,6 +263,19 @@ def test_forward_rejects_bad_input():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ad.NumericError):
         m.forward(bad)
+
+
+def test_forward_raises_on_nan_running_var():
+    # ReLU used to map the NaN to 0, and forward returned finite output
+    spec = toy_arch()
+    m = SeparationModel(spec, seed=15)
+    m.set_training(False)
+    bn = m._children["band1"]._children["d1"].dense._children["layer1"].bn
+    bn._buffers["running_var"][0] = np.nan
+    x = np.abs(RNG(16).standard_normal((2, spec.num_bins, 8)))
+    with ad.no_grad():
+        with pytest.raises(ad.NumericError, match="conv2d"):
+            m.forward(x)
 
 
 def test_forward_deterministic_in_eval_mode():
