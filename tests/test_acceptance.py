@@ -390,6 +390,7 @@ def _ibm_estimates(clips):
     }
 
 
+@pytest.mark.slow
 def test_criterion_8a_oracle_separation(toy_data):
     start = time.time()
     per_song = {}
@@ -407,6 +408,7 @@ def test_criterion_8a_oracle_separation(toy_data):
     assert time.time() - start < 900
 
 
+@pytest.mark.slow
 def test_criterion_8b_reduced_model_overfit(toy_data):
     start = time.time()
     clips = load_track(os.path.join(toy_data, "track00"))
@@ -467,6 +469,7 @@ def test_criterion_8b_reduced_model_overfit(toy_data):
 # 9. structural audits
 
 
+@pytest.mark.slow
 def test_criterion_9_structure(default_model):
     from stemsep.model import Slot
 

@@ -159,6 +159,19 @@ def test_bad_arch_exit_code(tmp_path, data_dir):
     assert rc == 4
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--window", "0.00001", "scoring window of 1e-05 s is under one sample at 8000 Hz"),
+    ("--hop", "0", "scoring hop of 0 s is under one sample at 8000 Hz"),
+])
+def test_evaluate_window_or_hop_under_one_sample_exit_code(
+        capsys, tmp_path, data_dir, flag, value, message):
+    rc = cli.main(["evaluate", "--estimates", data_dir, "--references", data_dir,
+                   "--out", str(tmp_path / "scores.json"), "--filter-len", "8",
+                   "--window", "1.0", "--sample-rate", "8000", flag, value])
+    assert rc == 5
+    assert "error (data): %s" % message in capsys.readouterr().err
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit):
         cli.main(["synth-data", "out", "--bogus"])

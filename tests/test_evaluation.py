@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve, toeplitz
+from scipy.signal import fftconvolve
 
+from stemsep import evaluation
 from stemsep.evaluation import (
+    RIDGE_REL,
     SDR_CLAMP_DB,
+    SILENCE_RMS,
     EvalError,
     aggregate,
     bss_project,
@@ -17,6 +22,149 @@ from stemsep.evaluation import (
 
 def make_references(rng, nsrc=2, n=4000):
     return rng.standard_normal((nsrc, n))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-source path that rebuilds the reference FFTs, the Gram and
+# its solve for every projection (classic bss_eval structure)
+
+
+def _correlations(references, estimate, flen):
+    nsrc = references.shape[0]
+    nsampl = references.shape[1]
+    n_fft = int(2 ** np.ceil(np.log2(nsampl + flen - 1)))
+    sf = np.fft.rfft(references, n=n_fft, axis=1)
+    sef = np.fft.rfft(estimate, n=n_fft)
+    g = np.zeros((nsrc * flen, nsrc * flen))
+    for i in range(nsrc):
+        for j in range(i, nsrc):
+            ssf = np.fft.irfft(sf[i] * np.conj(sf[j]), n=n_fft)
+            block = toeplitz(
+                np.hstack((ssf[0], ssf[-1:-flen:-1])), ssf[:flen]
+            )
+            g[i * flen:(i + 1) * flen, j * flen:(j + 1) * flen] = block
+            g[j * flen:(j + 1) * flen, i * flen:(i + 1) * flen] = block.T
+    d = np.zeros(nsrc * flen)
+    for i in range(nsrc):
+        ssef = np.fft.irfft(sf[i] * np.conj(sef), n=n_fft)
+        d[i * flen:(i + 1) * flen] = np.hstack((ssef[0], ssef[-1:-flen:-1]))
+    return g, d
+
+
+def _project(references, estimate, flen):
+    references = np.atleast_2d(references)
+    nsrc, nsampl = references.shape
+    g, d = _correlations(references, estimate, flen)
+    try:
+        coef = solve(g, d, assume_a="pos")
+    except np.linalg.LinAlgError:
+        ridge = RIDGE_REL * max(np.trace(g) / g.shape[0], 1e-30)
+        coef = solve(g + ridge * np.eye(g.shape[0]), d, assume_a="pos")
+    if not np.all(np.isfinite(coef)):
+        ridge = RIDGE_REL * max(np.trace(g) / g.shape[0], 1e-30)
+        coef = solve(g + ridge * np.eye(g.shape[0]), d, assume_a="pos")
+    proj = np.zeros(nsampl)
+    for i in range(nsrc):
+        h = coef[i * flen:(i + 1) * flen]
+        proj += fftconvolve(references[i], h)[:nsampl]
+    return proj
+
+
+def _pad(x, extra):
+    return np.concatenate([x, np.zeros(x.shape[:-1] + (extra,))], axis=-1)
+
+
+def oracle_bss_project(estimate, references, true_index, filter_len):
+    references = _pad(np.atleast_2d(np.asarray(references, dtype=np.float64)),
+                      filter_len - 1)
+    estimate = _pad(np.asarray(estimate, dtype=np.float64), filter_len - 1)
+    target = _project(references[true_index:true_index + 1], estimate, filter_len)
+    full = _project(references, estimate, filter_len)
+    return target, full - target, estimate - full
+
+
+def oracle_evaluate_estimate(estimate, references, true_index, filter_len):
+    estimate = np.atleast_2d(np.asarray(estimate))
+    refs = np.asarray(references)
+    if refs.ndim == 2:
+        refs = refs[:, None, :]
+    vals = [
+        sdr_from_decomposition(*oracle_bss_project(
+            estimate[ch], refs[:, min(ch, refs.shape[1] - 1), :], true_index,
+            filter_len))
+        for ch in range(estimate.shape[0])
+    ]
+    return {k: float(np.mean([v[k] for v in vals])) for k in vals[0]}
+
+
+def oracle_evaluate_track(reference_clips, estimate_clips, filter_len, window_s,
+                          hop_s, sample_rate):
+    names = [n for n in estimate_clips if n in reference_clips]
+    length = min(
+        min(np.atleast_2d(reference_clips[n]).shape[1] for n in names),
+        min(np.atleast_2d(estimate_clips[n]).shape[1] for n in names),
+    )
+    win = int(round(window_s * sample_rate))
+    hop = int(round(hop_s * sample_rate))
+    if length <= win:
+        starts = [0]
+        win = length
+    else:
+        starts = list(range(0, length - win + 1, hop))
+    span_names = [n for n in reference_clips if n != "accompaniment"]
+    results = {n: {"windows": [], "excluded_windows": 0} for n in names}
+    for start in starts:
+        sl = slice(start, start + win)
+        span_refs = np.stack(
+            [np.atleast_2d(reference_clips[n])[:, sl] for n in span_names])
+        for name in names:
+            ref = np.atleast_2d(reference_clips[name])[:, sl]
+            if np.sqrt(np.mean(ref ** 2)) < SILENCE_RMS:
+                results[name]["excluded_windows"] += 1
+                continue
+            if name in span_names:
+                refs, idx = span_refs, span_names.index(name)
+            else:
+                refs, idx = np.concatenate([ref[None], span_refs], axis=0), 0
+            est = np.atleast_2d(estimate_clips[name])[:, sl]
+            results[name]["windows"].append(
+                oracle_evaluate_estimate(est, refs, idx, filter_len))
+    for name in names:
+        wins = results[name]["windows"]
+        results[name]["mean"] = (
+            {k: float(np.mean([w[k] for w in wins])) for k in wins[0]} if wins else None
+        )
+    return results
+
+
+def toy_stems(rng, n, channels=2):
+    """Four stems plus accompaniment = the sum of three of them, so that
+    accompaniment's bordered Gram is singular."""
+    stems = {name: rng.standard_normal((channels, n))
+             for name in ("bass", "drums", "other", "vocals")}
+    stems["accompaniment"] = stems["bass"] + stems["drums"] + stems["other"]
+    return stems
+
+
+def noisy_estimates(rng, refs):
+    names = list(refs)
+    return {name: refs[name] + 0.2 * refs[names[(k + 1) % len(names)]]
+            + 0.05 * rng.standard_normal(refs[name].shape)
+            for k, name in enumerate(names)}
+
+
+class SolveCounter:
+    """Counts the module's ridge-fallback solves."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = evaluation.solve
+
+        def counting(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "solve", counting)
 
 
 # ---------------------------------------------------------------------------
@@ -187,3 +335,93 @@ def test_report_round_trip_and_format(tmp_path):
     assert read_report(path) == report
     text = format_report(report)
     assert "vocals" in text and "4.50 dB" in text and "excluded=1" in text
+
+
+# ---------------------------------------------------------------------------
+# shared reference basis against the per-source oracle: bitwise equal scores
+
+
+def test_silent_estimate_scores_negative_clamp():
+    rng = np.random.default_rng(9)
+    refs = make_references(rng)
+    m = sdr_from_decomposition(*bss_project(np.zeros(4000), refs, 0, filter_len=8))
+    assert m == {"sdr": -SDR_CLAMP_DB, "sir": -SDR_CLAMP_DB, "sar": -SDR_CLAMP_DB}
+
+
+@pytest.mark.parametrize("true_index", [0, 1, 2])
+def test_bss_project_matches_oracle(true_index):
+    # long enough that numpy reuses temporaries in the spectral products
+    # (arrays of 256 KiB and up), which fixes their operand order
+    n = 40000
+    rng = np.random.default_rng(10)
+    refs = make_references(rng, nsrc=3, n=n)
+    est = refs[true_index] + 0.3 * refs[(true_index + 1) % 3] \
+        + 0.1 * rng.standard_normal(n)
+    got = bss_project(est, refs, true_index, filter_len=16)
+    want = oracle_bss_project(est, refs, true_index, 16)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_windowed_track_with_exclusions_matches_oracle():
+    rng = np.random.default_rng(11)
+    sr = 1000
+    refs = toy_stems(rng, 6 * sr)
+    refs["vocals"][:, : 3 * sr] = 0.0  # excluded from the windows at 0 and 1 s
+    ests = noisy_estimates(rng, refs)
+    kwargs = dict(filter_len=8, window_s=2.0, hop_s=1.0, sample_rate=sr)
+    got = evaluate_track(refs, ests, **kwargs)
+    assert got == oracle_evaluate_track(refs, ests, **kwargs)
+    assert got["vocals"]["excluded_windows"] == 2
+    assert len(got["accompaniment"]["windows"]) == 5
+
+
+def test_ridge_fallback_on_dependent_references_matches_oracle(monkeypatch):
+    rng = np.random.default_rng(12)
+    refs = toy_stems(rng, 3000)
+    refs["other"] = refs["bass"] - 0.5 * refs["drums"]  # a dependent span source
+    ests = noisy_estimates(rng, refs)
+    ests = {n: ests[n] for n in ("other", "accompaniment")}
+    counter = SolveCounter(monkeypatch)
+    got = evaluate_track(refs, ests, filter_len=8, sample_rate=1000)
+    # per channel: accompaniment's bordered Gram and the span Gram
+    assert counter.calls == 4
+    assert got == oracle_evaluate_track(refs, ests, 8, evaluation.DEFAULT_WINDOW_S,
+                                        evaluation.DEFAULT_HOP_S, 1000)
+
+
+def test_independent_references_need_no_fallback(monkeypatch):
+    rng = np.random.default_rng(13)
+    refs = toy_stems(rng, 3000)
+    del refs["accompaniment"]
+    ests = noisy_estimates(rng, refs)
+    counter = SolveCounter(monkeypatch)
+    got = evaluate_track(refs, ests, filter_len=8, sample_rate=1000)
+    assert counter.calls == 0
+    assert got == oracle_evaluate_track(refs, ests, 8, evaluation.DEFAULT_WINDOW_S,
+                                        evaluation.DEFAULT_HOP_S, 1000)
+
+
+@pytest.mark.parametrize("est_channels,ref_channels", [(1, 2), (2, 1)])
+def test_channel_mapping_matches_oracle(est_channels, ref_channels):
+    rng = np.random.default_rng(14)
+    refs = toy_stems(rng, 2500, channels=ref_channels)
+    ests = {n: rng.standard_normal((est_channels, 2500)) + refs[n][:1]
+            for n in refs}
+    kwargs = dict(filter_len=8, window_s=1.0, hop_s=0.5, sample_rate=1000)
+    assert evaluate_track(refs, ests, **kwargs) == oracle_evaluate_track(
+        refs, ests, **kwargs)
+    stacked = np.stack([refs[n] for n in ("bass", "drums", "other", "vocals")])
+    assert evaluate_estimate(ests["drums"], stacked, 1, filter_len=8) \
+        == oracle_evaluate_estimate(ests["drums"], stacked, 1, 8)
+
+
+@pytest.mark.parametrize("window_s,hop_s,match", [
+    (0.0001, 1.0, "window of 0.0001 s"),
+    (1.0, 0.0, "hop of 0 s"),
+])
+def test_window_or_hop_under_one_sample_rejected(window_s, hop_s, match):
+    refs = {"a": np.ones((1, 8000))}
+    with pytest.raises(EvalError, match=match):
+        evaluate_track(refs, refs, filter_len=4, window_s=window_s, hop_s=hop_s,
+                       sample_rate=4000)
