@@ -12,20 +12,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import arch as arch_mod
 from . import evaluation, train as train_mod
 from .arch import ConfigError
-from .dsp import (
-    AudioClip,
-    InputError,
-    istft,
-    read_wav,
-    stft,
-    warn_if_unexpected_rate,
-    write_wav,
-)
+from .dsp import InputError, read_wav, stft, write_wav
 from .model import (
     CheckpointError,
     build_model,
@@ -35,13 +25,7 @@ from .model import (
     read_checkpoint_header,
     save_checkpoint,
 )
-from .separation import (
-    SOURCE_NAMES,
-    SeparationError,
-    blend,
-    estimate_magnitudes,
-    separate_spectrogram,
-)
+from .separation import SOURCE_NAMES, SeparationError, separate_track
 from .train import TrainConfig, TrainError, make_toy_dataset
 
 
@@ -106,30 +90,13 @@ def _load_model_dir(path):
 
 
 def cmd_separate(args):
+    # load every checkpoint before any audio, so a bad path fails first
     models = _load_model_dir(args.checkpoints)
+    blend_with = _load_model_dir(args.blend_with) if args.blend_with else None
     clip = read_wav(args.input)
-    arch_spec = next(iter(models.values())).spec
-    warn_if_unexpected_rate(clip, expected=arch_spec.sample_rate)
-    spec = stft(clip, fft_size=arch_spec.fft_size)
-    mags = estimate_magnitudes(models, spec)
-    if args.blend_with:
-        other = _load_model_dir(args.blend_with)
-        if set(other) != set(models):
-            raise SeparationError("blend checkpoints cover different sources")
-        mags = blend(mags, estimate_magnitudes(other, spec), args.blend_weight)
-    if len(mags) == 1:
-        (name, mag), = mags.items()
-        rest = np.maximum(spec.magnitude() - mag, 0.0)
-        specs = separate_spectrogram(spec, {name: mag, "_rest": rest},
-                                     wiener=args.wiener == "on")
-        specs.pop("_rest")
-    else:
-        specs = separate_spectrogram(spec, mags, wiener=args.wiener == "on")
+    outputs = separate_track(models, clip, wiener=args.wiener == "on",
+                             blend_with=blend_with, blend_weight=args.blend_weight)
     os.makedirs(args.out, exist_ok=True)
-    outputs = {n: istft(s) for n, s in specs.items()}
-    if "vocals" in outputs:
-        residual = clip.samples - outputs["vocals"].samples
-        outputs["accompaniment"] = AudioClip(residual, clip.sample_rate)
     for name, out_clip in outputs.items():
         path = os.path.join(args.out, name + ".wav")
         write_wav(path, out_clip)

@@ -1,4 +1,4 @@
-"""STFT analysis/synthesis and frequency-band splitting.
+"""STFT analysis/synthesis and the frequency-band layout.
 
 Analysis uses a periodic raised-cosine window at 75% overlap; synthesis
 is weighted overlap-add with the same window, which satisfies the
@@ -146,13 +146,10 @@ def istft(spec: Spectrogram) -> AudioClip:
     window = raised_cosine_window(n)
     total = (frames - 1) * hop + n
     out = np.zeros((ch, total))
-    norm = np.zeros(total)
     segs = np.fft.irfft(spec.bins, n=n, axis=2) * window
     for m in range(frames):
         out[:, m * hop:m * hop + n] += segs[:, m, :]
-    w2 = window * window
-    for m in range(frames):
-        norm[m * hop:m * hop + n] += w2
+    norm = cola_profile(n, hop, frames)
     out /= np.maximum(norm, 0.01 * norm.max())
     if spec.num_samples is not None:
         out = out[:, :spec.num_samples]
@@ -199,32 +196,6 @@ class BandLayout:
             edges.append(b)
         edges.append(bins)
         self.ranges = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-
-    @property
-    def num_bins(self):
-        return self.fft_size // 2 + 1
-
-    @property
-    def num_bands(self):
-        return len(self.ranges)
-
-
-def band_split(mag: np.ndarray, layout: BandLayout):
-    """Slice a (c, f, t) map into per-band maps, low band first."""
-    if mag.shape[1] != layout.num_bins:
-        raise InputError(
-            "map has %d bins, layout expects %d" % (mag.shape[1], layout.num_bins)
-        )
-    return [mag[:, lo:hi, :] for lo, hi in layout.ranges]
-
-
-def band_merge(bands, layout: BandLayout) -> np.ndarray:
-    if len(bands) != layout.num_bands:
-        raise InputError("expected %d bands, got %d" % (layout.num_bands, len(bands)))
-    for b, (lo, hi) in zip(bands, layout.ranges):
-        if b.shape[1] != hi - lo:
-            raise InputError("band shape %r does not match range [%d, %d)" % (b.shape, lo, hi))
-    return np.concatenate(bands, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,17 @@ DEFAULT_DTYPE = np.float64
 
 
 class Module:
-    """Base class: registers parameters, buffers and child modules."""
+    """Base class: registers parameters, buffers and child modules.
+    Calling a module runs its forward."""
 
     def __init__(self):
         self._params = {}
         self._buffers = {}
         self._children = {}
         self.training = True
+
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
 
     def add_param(self, name, array):
         t = Tensor(np.asarray(array), requires_grad=True)
@@ -48,10 +52,6 @@ class Module:
             yield prefix + name, b
         for cname, child in self._children.items():
             yield from child.named_buffers(prefix + cname + ".")
-
-    def set_buffer(self, name, array):
-        buf = self._buffers[name]
-        buf[...] = array
 
     def set_training(self, flag):
         self.training = bool(flag)
@@ -92,7 +92,7 @@ class Conv2d(Module):
         )
         self.bias = self.add_param("bias", np.zeros(c_out, dtype=DEFAULT_DTYPE))
 
-    def __call__(self, x):
+    def forward(self, x):
         return ad.conv2d(x, self.weight, self.bias, padding=self.padding)
 
 
@@ -107,7 +107,7 @@ class ConvTranspose2x2(Module):
         )
         self.bias = self.add_param("bias", np.zeros(c_out, dtype=DEFAULT_DTYPE))
 
-    def __call__(self, x):
+    def forward(self, x):
         return ad.conv_transpose2(x, self.weight, self.bias)
 
 
@@ -122,7 +122,7 @@ class BatchNorm2d(Module):
         self.add_buffer("running_mean", np.zeros(channels, dtype=DEFAULT_DTYPE))
         self.add_buffer("running_var", np.ones(channels, dtype=DEFAULT_DTYPE))
 
-    def __call__(self, x):
+    def forward(self, x):
         if self.training:
             out, mean, var = ad.batch_norm_train(x, self.gamma, self.beta, self.eps)
             m = self.momentum
@@ -148,7 +148,7 @@ class Linear(Module):
         self.weight = self.add_param("weight", _uniform_fan_in(rng, (d_out, d_in), d_in))
         self.bias = self.add_param("bias", np.zeros(d_out, dtype=DEFAULT_DTYPE))
 
-    def __call__(self, x):
+    def forward(self, x):
         return ad.affine(x, self.weight, self.bias)
 
 
@@ -196,7 +196,7 @@ class BiLSTM(Module):
             outputs[t] = h
         return ad.concat(outputs, axis=0)
 
-    def __call__(self, seq):
+    def forward(self, seq):
         if seq.ndim != 2 or seq.shape[1] != self.d_in:
             raise ad.ShapeError(
                 "BiLSTM: expected (T, %d), got %r" % (self.d_in, seq.shape)

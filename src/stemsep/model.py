@@ -4,6 +4,9 @@ block.
 
 Conventions:
   * all feature maps are (channels, frequency, time)
+  * modules run through forward: calling a module runs its forward, so
+    shadowing forward on one instance observes that module alone
+    (feature_map_norms records a slot's output this way)
   * a dense block's output is the concatenation of its layer outputs
     (l * growth channels); the block input is not re-emitted
   * a dense block keeps its features in one (c_in + l * growth, f, t)
@@ -49,7 +52,7 @@ class DenseLayer(Module):
         self.bn = self.add_child("bn", BatchNorm2d(c_in))
         self.conv = self.add_child("conv", Conv2d(c_in, growth, 3, 3, rng))
 
-    def __call__(self, x, out=None):
+    def forward(self, x, out=None):
         bn, w, b = self.bn, self.conv.weight, self.conv.bias
         if bn.training:
             return ad.conv2d(ad.relu(bn(x)), w, b, out=out)
@@ -83,7 +86,7 @@ class DenseBlock(Module):
     def out_channels(self):
         return self.layers * self.growth if self.layers else self.c_in
 
-    def __call__(self, x):
+    def forward(self, x):
         if not self.layers:
             return x
         c_in, k = self.c_in, self.growth
@@ -109,7 +112,7 @@ class LstmBlock(Module):
         self.lstm = self.add_child("lstm", BiLSTM(freq_dim, units, rng))
         self.expand = self.add_child("expand", Linear(2 * units, freq_dim, rng))
 
-    def __call__(self, x):
+    def forward(self, x):
         if x.shape[1] != self.freq_dim:
             raise ad.ShapeError(
                 "LstmBlock built for f=%d got map with f=%d" % (self.freq_dim, x.shape[1])
@@ -193,7 +196,7 @@ class Slot(Module):
             return "parallel[%s|%s]" % (dense_desc, lstm_desc)
         return dense_desc or lstm_desc
 
-    def __call__(self, x):
+    def forward(self, x):
         if self.mode == "Sa":
             y = self.dense(x) if self.dense else x
             if self.lstm:
@@ -246,7 +249,7 @@ class BandNet(Module):
             c = slot.out_channels
         self.out_channels = c
 
-    def __call__(self, x, capture=None, prefix=""):
+    def forward(self, x):
         if x.shape[1] != self.freq_bins:
             raise ad.ShapeError(
                 "band %s expects %d bins, got %d" % (self.plan.name, self.freq_bins, x.shape[1])
@@ -255,10 +258,7 @@ class BandNet(Module):
         down_outputs = []
         down = self.plan.down_slots
         for i, slot_spec in enumerate(down):
-            slot = self._children[slot_spec.position]
-            y = slot(y)
-            if capture is not None:
-                capture[prefix + slot_spec.position] = (y, slot.lstm_channel)
+            y = self._children[slot_spec.position](y)
             down_outputs.append(y)
             if i < len(down) - 1:
                 y = ad.avg_pool2(y)
@@ -266,10 +266,7 @@ class BandNet(Module):
             s = slot_spec.scale
             y = self._children["up%d" % s](y)
             y = ad.concat([y, down_outputs[s - 1]], axis=0)
-            slot = self._children[slot_spec.position]
-            y = slot(y)
-            if capture is not None:
-                capture[prefix + slot_spec.position] = (y, slot.lstm_channel)
+            y = self._children[slot_spec.position](y)
         return y
 
     def wiring(self):
@@ -338,7 +335,7 @@ class SeparationModel(Module):
     def dtype(self):
         return self.head.weight.data.dtype
 
-    def forward(self, mag, capture=None):
+    def forward(self, mag):
         """mag is a (io_channels, num_bins, t) numpy array; returns a
         Tensor of the same shape (non-negative)."""
         mag = np.asarray(mag)
@@ -363,7 +360,7 @@ class SeparationModel(Module):
         band_outputs = []
         for plan, net, (lo, hi) in zip(spec.bands, self.band_nets, layout.ranges):
             xa = _pad_axis(x[:, lo:hi, :], 1, net.freq_bins)
-            y = net(ad.constant(xa), capture, prefix="band%s/" % plan.name)
+            y = net(ad.constant(xa))
             y = self._children["align%s" % plan.name](y)
             if y.shape[1] != hi - lo:
                 y = y[:, : hi - lo, :]
@@ -371,7 +368,7 @@ class SeparationModel(Module):
         merged = ad.concat(band_outputs, axis=1)
 
         xf = _pad_axis(x, 1, self.full_net.freq_bins)
-        yf = self.full_net(ad.constant(xf), capture, prefix="bandfull/")
+        yf = self.full_net(ad.constant(xf))
         if yf.shape[1] != spec.num_bins:
             yf = yf[:, : spec.num_bins, :]
 
@@ -410,18 +407,34 @@ def count_params(model: SeparationModel):
 
 def feature_map_norms(model: SeparationModel, mag, slot_name):
     """Per-channel root-mean-square activation norms at a named slot
-    (e.g. 'band1/d4'). Returns (norms, lstm_channel_index_or_None)."""
-    capture = {}
-    with ad.no_grad():
-        model.forward(mag, capture=capture)
-    if slot_name not in capture:
-        raise KeyError(
-            "unknown slot %r; available: %s" % (slot_name, sorted(capture))
-        )
-    tensor, lstm_channel = capture[slot_name]
-    act = tensor.data
+    (e.g. 'band1/d4'). Returns (norms, lstm_channel_index_or_None).
+
+    The slot's forward is shadowed on that one instance for a single
+    model run, to record its output.
+    """
+    slots = {
+        "band%s/%s" % (net.plan.name, s.position): net._children[s.position]
+        for net in model.band_nets + [model.full_net] for s in net.plan.slots
+    }
+    if slot_name not in slots:
+        raise KeyError("unknown slot %r; available: %s" % (slot_name, sorted(slots)))
+    slot = slots[slot_name]
+    forward = slot.forward
+    outputs = []
+
+    def record(x):
+        outputs.append(forward(x))
+        return outputs[-1]
+
+    slot.forward = record
+    try:
+        with ad.no_grad():
+            model.forward(mag)
+    finally:
+        del slot.forward
+    act = outputs[0].data
     norms = np.sqrt((act * act).mean(axis=(1, 2)))
-    return norms, lstm_channel
+    return norms, slot.lstm_channel
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +507,13 @@ def load_checkpoint(path, model: SeparationModel):
     params = dict(model.named_params())
     buffer_owners = {}
 
-    def find_buffer(module, name, prefix=""):
+    def find_buffer(module, prefix=""):
         for bname in module._buffers:
             buffer_owners[prefix + bname] = (module, bname)
         for cname, child in module._children.items():
-            find_buffer(child, name, prefix + cname + ".")
+            find_buffer(child, prefix + cname + ".")
 
-    find_buffer(model, None)
+    find_buffer(model)
     with open(path, "rb") as fh:
         fh.seek(payload_start)
         payload = fh.read()

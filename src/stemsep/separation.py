@@ -126,12 +126,17 @@ def multichannel_wiener(mixture_stft, estimate_mags: dict, eps_scale=1e-10,
     return out
 
 
-def blend(estimates_a: dict, estimates_b: dict, weight) -> dict:
-    """Elementwise magnitude blend: w * a + (1 - w) * b."""
+def _check_blend(names_a, names_b, weight):
     if not 0.0 <= weight <= 1.0:
         raise SeparationError("blend weight must lie in [0, 1]")
-    if set(estimates_a) != set(estimates_b):
-        raise SeparationError("blend requires matching source sets")
+    if set(names_a) != set(names_b):
+        raise SeparationError("blend requires matching source sets: %s vs %s"
+                              % (sorted(names_a), sorted(names_b)))
+
+
+def blend(estimates_a: dict, estimates_b: dict, weight) -> dict:
+    """Elementwise magnitude blend: w * a + (1 - w) * b."""
+    _check_blend(estimates_a, estimates_b, weight)
     out = {}
     for n in estimates_a:
         a, b = np.asarray(estimates_a[n]), np.asarray(estimates_b[n])
@@ -170,16 +175,48 @@ def separate_spectrogram(spec: Spectrogram, estimate_mags: dict, wiener=True):
     return {n: spec.with_bins(c.transpose(0, 2, 1)) for n, c in complex_est.items()}
 
 
+def _input_arch(models: dict, blend_with: dict | None):
+    """The arch of the first model, once every model agrees with it on
+    the input format: FFT size, sample rate and channel count."""
+    named = list(models.items())
+    named += [("blend " + n, m) for n, m in (blend_with or {}).items()]
+    formats = {n: (m.spec.fft_size, m.spec.sample_rate, m.spec.io_channels)
+               for n, m in named}
+    if len(set(formats.values())) > 1:
+        raise SeparationError(
+            "models disagree on (fft_size, sample_rate, io_channels): %s"
+            % ", ".join("%s %r" % item for item in formats.items()))
+    return named[0][1].spec
+
+
 def separate_track(models: dict, clip: AudioClip, wiener=True,
-                   fft_size=4096, hop=None) -> dict:
+                   blend_with=None, blend_weight=0.5) -> dict:
     """Separate a mixture clip into source clips plus the accompaniment
     (the waveform residual of the vocal extraction).
+
+    models maps source names to models. The STFT size (hop a quarter of
+    it) and the sample rate come from the models' arch `spec`; a clip at
+    another rate is separated with a warning. With blend_with, a second
+    name -> model map over the same sources, the magnitude estimates are
+    blended as blend_weight * models + (1 - blend_weight) * blend_with.
+    A single model is filtered against the spectral residual, so it
+    still gets a two-source Wiener (or soft-mask) pass.
+
+    Raises SeparationError, before any model runs, when models is
+    empty, blend_weight lies outside [0, 1], the blend covers other
+    sources, or the models disagree on FFT size, sample rate or channel
+    count.
     """
     if not models:
         raise SeparationError("no source models given")
-    warn_if_unexpected_rate(clip)
-    spec = stft(clip, fft_size=fft_size, hop=hop)
+    if blend_with is not None:
+        _check_blend(models, blend_with, blend_weight)
+    arch = _input_arch(models, blend_with)
+    warn_if_unexpected_rate(clip, expected=arch.sample_rate)
+    spec = stft(clip, fft_size=arch.fft_size)
     mags = estimate_magnitudes(models, spec)
+    if blend_with is not None:
+        mags = blend(mags, estimate_magnitudes(blend_with, spec), blend_weight)
     if len(mags) == 1:
         # single-model runs still get a two-source Wiener pass against
         # the spectral residual

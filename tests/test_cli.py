@@ -175,3 +175,121 @@ def test_evaluate_window_or_hop_under_one_sample_exit_code(
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit):
         cli.main(["synth-data", "out", "--bogus"])
+
+
+# ---------------------------------------------------------------------------
+# separate: one pipeline, early failures
+
+
+def _save_toy(path, seed, spec=None):
+    from stemsep.model import build_model, save_checkpoint
+
+    save_checkpoint(str(path), build_model(spec or toy_arch(), seed=seed))
+    return str(path)
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    from stemsep.model import SeparationModel
+
+    calls = []
+    forward = SeparationModel.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(SeparationModel, "forward", counted)
+    return calls
+
+
+def _separate_argv(data_dir, checkpoints, out, *extra):
+    return ["separate", os.path.join(data_dir, "track00", "mixture.wav"),
+            "--checkpoints", str(checkpoints), "--out", str(out), *extra]
+
+
+def _other_arch(field):
+    import dataclasses
+
+    if field == "fft_size":
+        return toy_arch(fft_size=128)
+    if field == "sample_rate":
+        return toy_arch(sample_rate=16000)
+    spec = dataclasses.replace(toy_arch(), io_channels=1)
+    return dataclasses.replace(spec, source_text=canonical_text(spec))
+
+
+@pytest.mark.parametrize("case,code", [
+    ("weight", 5), ("sources", 5), ("missing", 3),
+    ("fft_size", 5), ("sample_rate", 5), ("io_channels", 5),
+])
+def test_separate_fails_before_any_model_runs(tmp_path, data_dir, forward_calls,
+                                              case, code):
+    primary = tmp_path / "primary"
+    primary.mkdir()
+    _save_toy(primary / "vocals.ckpt", 1)
+    blend = tmp_path / "blend"
+    blend.mkdir()
+    extra = ["--blend-with", str(blend)]
+    if case == "weight":
+        _save_toy(blend / "vocals.ckpt", 2)
+        extra += ["--blend-weight", "1.5"]
+    elif case == "sources":
+        _save_toy(blend / "drums.ckpt", 2)
+    elif case == "missing":
+        extra = ["--blend-with", str(tmp_path / "nope")]
+    elif case == "fft_size":  # two primary checkpoints that disagree
+        _save_toy(primary / "bass.ckpt", 2, _other_arch(case))
+        extra = []
+    else:
+        _save_toy(blend / "vocals.ckpt", 2, _other_arch(case))
+    rc = cli.main(_separate_argv(data_dir, primary, tmp_path / "out", *extra))
+    assert rc == code
+    assert forward_calls == []
+
+
+def _library_wavs(tmp_path, models, clip, **kwargs):
+    from stemsep.dsp import write_wav
+    from stemsep.separation import separate_track
+
+    out = {}
+    for name, est in separate_track(models, clip, **kwargs).items():
+        path = tmp_path / ("lib-%s.wav" % name)
+        write_wav(str(path), est)
+        out[name + ".wav"] = path.read_bytes()
+    return out
+
+
+def test_separate_writes_what_separate_track_gives(tmp_path, data_dir):
+    mixture = os.path.join(data_dir, "track00", "mixture.wav")
+    clip = read_wav(mixture)
+
+    ckpt = _save_toy(tmp_path / "vocals.ckpt", 3)
+    out = tmp_path / "single"
+    assert cli.main(_separate_argv(data_dir, ckpt, out)) == 0
+    expected = _library_wavs(tmp_path, {"vocals": load_checkpoint_model(ckpt)}, clip)
+    assert sorted(os.listdir(out)) == sorted(expected) == ["accompaniment.wav",
+                                                           "vocals.wav"]
+    for name, data in expected.items():
+        assert (out / name).read_bytes() == data
+
+    primary, blend = tmp_path / "primary", tmp_path / "blend"
+    for directory, seed in ((primary, 4), (blend, 6)):
+        directory.mkdir()
+        for i, source in enumerate(("drums", "vocals")):
+            _save_toy(directory / ("%s.ckpt" % source), seed + i)
+    out = tmp_path / "blended"
+    rc = cli.main(_separate_argv(data_dir, primary, out, "--wiener", "off",
+                                 "--blend-with", str(blend), "--blend-weight", "0.3"))
+    assert rc == 0
+
+    def load(directory):
+        return {s: load_checkpoint_model(str(directory / ("%s.ckpt" % s)))
+                for s in ("drums", "vocals")}
+
+    expected = _library_wavs(tmp_path, load(primary), clip, wiener=False,
+                             blend_with=load(blend), blend_weight=0.3)
+    assert sorted(os.listdir(out)) == sorted(expected) == [
+        "accompaniment.wav", "drums.wav", "vocals.wav"]
+    for name, data in expected.items():
+        assert (out / name).read_bytes() == data

@@ -84,34 +84,12 @@ def test_cola_constant_on_interior():
 
 
 def test_band_layout_table_boundaries():
-    layout = dsp.BandLayout((4100, 11000), fft_size=4096, sample_rate=44100)
-    assert layout.ranges == [(0, 381), (381, 1022), (1022, 2049)]
-
-
-def test_band_split_merge_round_trip():
-    rng = np.random.default_rng(4)
-    layout = dsp.BandLayout((4100, 11000))
-    x = rng.standard_normal((2, layout.num_bins, 7))
-    bands = dsp.band_split(x, layout)
-    assert [b.shape[1] for b in bands] == [381, 641, 1027]
-    np.testing.assert_array_equal(dsp.band_merge(bands, layout), x)
-
-
-def test_band_split_degenerate_single_band():
-    rng = np.random.default_rng(5)
-    layout = dsp.BandLayout((), fft_size=64, sample_rate=8000)
-    x = rng.standard_normal((1, 33, 3))
-    bands = dsp.band_split(x, layout)
-    assert len(bands) == 1
-    np.testing.assert_array_equal(bands[0], x)
-
-
-def test_band_split_rejects_mismatch():
-    layout = dsp.BandLayout((4100, 11000))
-    with pytest.raises(dsp.InputError):
-        dsp.band_split(np.zeros((2, 100, 4)), layout)
-    with pytest.raises(dsp.InputError):
-        dsp.band_merge([np.zeros((2, 10, 4))], layout)
+    for edges, fft_size, rate, ranges in (
+        ((4100, 11000), 4096, 44100, [(0, 381), (381, 1022), (1022, 2049)]),
+        ((), 64, 8000, [(0, 33)]),  # no boundaries: one band over every bin
+    ):
+        layout = dsp.BandLayout(edges, fft_size=fft_size, sample_rate=rate)
+        assert layout.ranges == ranges
 
 
 # ---------------------------------------------------------------------------

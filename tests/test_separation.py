@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from stemsep import dsp, separation
+from stemsep.arch import default_arch, toy_arch
+from stemsep.model import build_model
 from stemsep.separation import (
     SeparationError,
     blend,
@@ -184,7 +188,10 @@ def test_oracle_substitution_recovers_sources():
 
 
 class ConstantFractionModel:
-    """Stand-in for a trained model: returns a fixed fraction of input."""
+    """Stand-in for a trained model: returns a fixed fraction of input.
+    Its arch is the default one (4096-point FFT at 44.1 kHz)."""
+
+    spec = default_arch()
 
     def __init__(self, fraction):
         self.fraction = fraction
@@ -219,3 +226,16 @@ def test_accompaniment_is_exact_residual():
 def test_separate_track_requires_models():
     with pytest.raises(SeparationError):
         separate_track({}, dsp.AudioClip(np.zeros((2, 1000))))
+
+
+def test_separate_track_takes_fft_size_and_rate_from_the_model():
+    rng = np.random.default_rng(9)
+    clip = dsp.AudioClip(0.1 * rng.standard_normal((2, 4000)), sample_rate=8000)
+    model = build_model(toy_arch(), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = separate_track({"vocals": model}, clip)
+    assert sorted(out) == ["accompaniment", "vocals"]
+    for est in out.values():
+        assert est.samples.shape == clip.samples.shape
+        assert est.sample_rate == 8000
