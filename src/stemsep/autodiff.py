@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Implements exactly the operation set the separation model needs: 2-D
-convolution, batch normalization (plus an eval-mode BN + ReLU fused into
-a zero-bordered map), ReLU/sigmoid/tanh, 2x2 average pooling,
+convolution, batch normalization (plus train- and eval-mode BN + ReLU
+fused into a zero-bordered map), ReLU/sigmoid/tanh, 2x2 average pooling,
 stride-2 transposed convolution, affine maps, concatenation, slicing and
 the usual elementwise/reduction glue. Each operation records a backward
 closure; `Tensor.backward()` runs a reverse topological sweep.
@@ -43,6 +43,7 @@ __all__ = [
     "conv_transpose2",
     "batch_norm_train",
     "batch_norm_eval",
+    "batch_norm_relu_train",
     "batch_norm_relu_eval",
     "concat",
     "concat_view",
@@ -352,6 +353,15 @@ def conv2d(x, weight, bias, padding="same", out=None):
     out, when given, is the (c_out, fo, to) array the result is written
     into (e.g. a slot of a dense block's channel buffer); the returned
     tensor's data is that array.
+
+    The backward is two GEMMs over one tap-shifted gradient (convolution
+    as a few large GEMMs, Chellapilla, Puri & Simard 2006). `shifted` is
+    a zero (kh*kw*c_out, fp*tp) array on the padded (fp, tp) grid whose
+    row block (di, dj) holds g placed at offset (di, dj). Then the weight
+    gradient is shifted @ xp.T, which reads the padded input in place
+    with no window copies, and the padded input gradient is w9.T @
+    shifted with w9 the (kh*kw*c_out, c_in) tap-major kernel; same
+    padding slices its interior out.
     """
     if x.ndim != 3 or weight.ndim != 4:
         raise ShapeError("conv2d: x %r, weight %r" % (x.shape, weight.shape))
@@ -393,22 +403,20 @@ def conv2d(x, weight, bias, padding="same", out=None):
     _check_finite(out_data, "conv2d")
 
     def backward(g):
-        gf = g.reshape(c_out, -1)
+        fp, tp = xp.shape[1:]
+        if x.requires_grad or weight.requires_grad:
+            shifted = np.zeros((kh, kw, c_out, fp, tp), dtype=g.dtype)
+            for di in range(kh):
+                for dj in range(kw):
+                    shifted[di, dj, :, di:di + fo, dj:dj + to] = g
+            shifted = shifted.reshape(kh * kw * c_out, fp * tp)
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for di in range(kh):
-                taps = np.tensordot(w[:, :, di, :], g, axes=([0], [0]))  # (c_in, kw, fo, to)
-                for dj in range(kw):
-                    gxp[:, di:di + fo, dj:dj + to] += taps[:, dj]
-            gx = gxp[:, ph:ph + f, pw:pw + t] if (ph or pw) else gxp
-            x._accumulate(gx)
+            w9 = w.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
+            gxp = (w9.T @ shifted).reshape(c_in, fp, tp)
+            x._accumulate(gxp[:, ph:ph + f, pw:pw + t] if (ph or pw) else gxp)
         if weight.requires_grad:
-            gw = np.empty_like(w)
-            for di in range(kh):
-                for dj in range(kw):
-                    win = xp[:, di:di + fo, dj:dj + to].reshape(c_in, -1)
-                    gw[:, :, di, dj] = gf @ win.T
-            weight._accumulate(gw)
+            gw = shifted @ xp.reshape(c_in, fp * tp).T
+            weight._accumulate(gw.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=(1, 2)))
 
@@ -478,12 +486,8 @@ def conv_transpose2(x, weight, bias):
 # batch normalization (per channel over the (f, t) plane)
 
 
-def batch_norm_train(x, gamma, beta, eps=1e-5):
-    """Standardize each channel over its spatial plane, then affine.
-
-    Returns (out, batch_mean, batch_var); the caller owns running-stat
-    bookkeeping. Differentiable w.r.t. x, gamma and beta.
-    """
+def _train_stats(x, gamma, beta, eps):
+    """Per-channel (mean, var, inv_std, xhat) of train-mode batch norm."""
     if x.ndim != 3:
         raise ShapeError("batch_norm: expected (c, f, t), got %r" % (x.shape,))
     c, f, t = x.shape
@@ -493,25 +497,65 @@ def batch_norm_train(x, gamma, beta, eps=1e-5):
         raise ShapeError("batch_norm: gamma/beta must be (%d,)" % c)
     if eps <= 0:
         raise ShapeError("batch_norm: eps must be positive")
-    n = f * t
     mean = x.data.mean(axis=(1, 2))
     var = x.data.var(axis=(1, 2))
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
+    xhat = x.data - mean[:, None, None]
+    xhat *= inv_std[:, None, None]
+    return mean, var, inv_std, xhat
+
+
+def _train_backward(g, x, gamma, beta, inv_std, xhat):
+    g_xhat = (g * xhat).sum(axis=(1, 2))
+    if gamma.requires_grad:
+        gamma._accumulate(g_xhat)
+    if beta.requires_grad:
+        beta._accumulate(g.sum(axis=(1, 2)))
+    if x.requires_grad:
+        gmean = g.mean(axis=(1, 2))
+        gx_hat_mean = g_xhat / (x.shape[1] * x.shape[2])
+        gx = (gamma.data * inv_std)[:, None, None] * (
+            g - gmean[:, None, None] - xhat * gx_hat_mean[:, None, None]
+        )
+        x._accumulate(gx)
+
+
+def batch_norm_train(x, gamma, beta, eps=1e-5):
+    """Standardize each channel over its spatial plane, then affine.
+
+    Returns (out, batch_mean, batch_var); the caller owns running-stat
+    bookkeeping. Differentiable w.r.t. x, gamma and beta.
+    """
+    mean, var, inv_std, xhat = _train_stats(x, gamma, beta, eps)
     out_data = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
 
     def backward(g):
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=(1, 2)))
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(1, 2)))
-        if x.requires_grad:
-            gmean = g.mean(axis=(1, 2))
-            gx_hat_mean = (g * xhat).sum(axis=(1, 2)) / n
-            gx = (gamma.data * inv_std)[:, None, None] * (
-                g - gmean[:, None, None] - xhat * gx_hat_mean[:, None, None]
-            )
-            x._accumulate(gx)
+        _train_backward(g, x, gamma, beta, inv_std, xhat)
+
+    return _make(out_data, (x, gamma, beta), backward), mean, var
+
+
+def batch_norm_relu_train(x, gamma, beta, halo, eps=1e-5):
+    """relu(batch_norm_train(x)) written into a zero halo.
+
+    The train-mode twin of batch_norm_relu_eval: the result is
+    (c, f + 2*ph, t + 2*pw) for halo = (ph, pw), its interior holds
+    max(gamma*xhat + beta, 0) and its border is zero. Returns
+    (out, batch_mean, batch_var), bitwise equal to np.pad of the unfused
+    ops, gradients included; the caller owns running-stat bookkeeping.
+    """
+    mean, var, inv_std, xhat = _train_stats(x, gamma, beta, eps)
+    c, f, t = x.shape
+    ph, pw = halo
+    out_data = np.zeros((c, f + 2 * ph, t + 2 * pw), dtype=x.data.dtype)
+    inner = out_data[:, ph:ph + f, pw:pw + t]
+    np.multiply(xhat, gamma.data[:, None, None], out=inner)
+    inner += beta.data[:, None, None]
+    np.maximum(inner, 0, out=inner)
+
+    def backward(g):
+        g_inner = g[:, ph:ph + f, pw:pw + t] * (inner > 0)
+        _train_backward(g_inner, x, gamma, beta, inv_std, xhat)
 
     return _make(out_data, (x, gamma, beta), backward), mean, var
 

@@ -185,6 +185,7 @@ def cmd_inspect(args):
     if args.input and args.slot:
         clip = read_wav(args.input)
         mag = stft(clip, fft_size=spec.fft_size).magnitude()
+        model.set_training(False)  # BN reads the loaded running statistics, unchanged
         norms, lstm_channel = feature_map_norms(model, mag, args.slot)
         print("feature-map RMS at %s:" % args.slot)
         for i, v in enumerate(norms):

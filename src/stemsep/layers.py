@@ -112,6 +112,15 @@ class ConvTranspose2x2(Module):
 
 
 class BatchNorm2d(Module):
+    """Batch norm followed by ReLU, written into the interior of a zero
+    halo of (ph, pw) (the default (0, 0) gives the unpadded map).
+
+    Training mode normalizes with the batch statistics through
+    autodiff.batch_norm_relu_train and folds them into the running
+    statistics; eval mode normalizes with the running statistics through
+    autodiff.batch_norm_relu_eval.
+    """
+
     def __init__(self, channels, eps=1e-5, momentum=0.1):
         super().__init__()
         self.channels = channels
@@ -122,23 +131,18 @@ class BatchNorm2d(Module):
         self.add_buffer("running_mean", np.zeros(channels, dtype=DEFAULT_DTYPE))
         self.add_buffer("running_var", np.ones(channels, dtype=DEFAULT_DTYPE))
 
-    def forward(self, x):
-        if self.training:
-            out, mean, var = ad.batch_norm_train(x, self.gamma, self.beta, self.eps)
-            m = self.momentum
-            self._buffers["running_mean"] *= 1.0 - m
-            self._buffers["running_mean"] += m * mean
-            self._buffers["running_var"] *= 1.0 - m
-            self._buffers["running_var"] += m * var
-            return out
-        return ad.batch_norm_eval(
-            x,
-            self.gamma,
-            self.beta,
-            self._buffers["running_mean"],
-            self._buffers["running_var"],
-            self.eps,
-        )
+    def forward(self, x, halo=(0, 0)):
+        running_mean, running_var = self._buffers["running_mean"], self._buffers["running_var"]
+        if not self.training:
+            return ad.batch_norm_relu_eval(x, self.gamma, self.beta, running_mean, running_var,
+                                           halo, self.eps)
+        out, mean, var = ad.batch_norm_relu_train(x, self.gamma, self.beta, halo, self.eps)
+        m = self.momentum
+        running_mean *= 1.0 - m
+        running_mean += m * mean
+        running_var *= 1.0 - m
+        running_var += m * var
+        return out
 
 
 class Linear(Module):

@@ -17,9 +17,10 @@ Conventions:
     arXiv:1707.06990). The block returns the view buf[c_in:]. Training
     and inference share this path; with grad on, each prefix is a
     concat_view whose backward is concat's
-  * in eval mode a dense layer's BN and ReLU run as one fused pass that
-    writes into the interior of a zero-bordered map, and its conv runs
-    with valid padding on that map instead of padding a copy
+  * in training and in eval mode a dense layer's BN and ReLU run as one
+    fused pass that writes into the interior of a zero-bordered map, and
+    its conv runs with valid padding on that map instead of padding a
+    copy
   * an LSTM block produces a single feature map; the combination mode
     decides where it is concatenated (Sa: after the dense block, Sb:
     onto the slot input before the dense block, P: next to the dense
@@ -42,9 +43,10 @@ from .layers import BiLSTM, BatchNorm2d, Conv2d, ConvTranspose2x2, Linear, Modul
 class DenseLayer(Module):
     """BN -> ReLU -> 3x3 conv with `growth` output maps.
 
-    In eval mode BN and ReLU are one fused op that writes into a zero
-    halo of the conv's half kernel size, so the conv needs no padding.
-    out, when given, is the array the conv writes its output into.
+    BN and ReLU are one fused op, in training and in eval mode, that
+    writes into a zero halo of the conv's half kernel size, so the conv
+    needs no padding. out, when given, is the array the conv writes its
+    output into.
     """
 
     def __init__(self, c_in, growth, rng):
@@ -53,13 +55,8 @@ class DenseLayer(Module):
         self.conv = self.add_child("conv", Conv2d(c_in, growth, 3, 3, rng))
 
     def forward(self, x, out=None):
-        bn, w, b = self.bn, self.conv.weight, self.conv.bias
-        if bn.training:
-            return ad.conv2d(ad.relu(bn(x)), w, b, out=out)
-        h = ad.batch_norm_relu_eval(
-            x, bn.gamma, bn.beta, bn._buffers["running_mean"], bn._buffers["running_var"],
-            (w.shape[2] // 2, w.shape[3] // 2), bn.eps,
-        )
+        w, b = self.conv.weight, self.conv.bias
+        h = self.bn(x, (w.shape[2] // 2, w.shape[3] // 2))
         return ad.conv2d(h, w, b, padding="valid", out=out)
 
 

@@ -8,6 +8,7 @@ reproducible given (seed, config, dataset).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 from dataclasses import dataclass, field
@@ -224,26 +225,32 @@ def train_step(model, batch, state: AdamState, params=None):
 
 def train(model, dataset_dir, config: TrainConfig, state: AdamState | None = None):
     """Full training run over a dataset directory. Returns the loss trace
-    (one entry per optimizer step) and writes it as CSV if configured."""
+    (one entry per optimizer step). With config.log_path set, writes it
+    as a step,epoch,loss CSV that gets each row, flushed, as its step
+    ends, so a run that stops early leaves the rows of its finished
+    steps."""
     if state is None:
         state = AdamState(alpha=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     track_dirs = list_tracks(dataset_dir)
     params = dict(model.named_params())
     trace = []
-    for epoch in range(config.epochs):
-        excerpts = build_excerpts(track_dirs, config, rng)
-        for step in range(config.steps_per_epoch):
-            batch = excerpts[step * config.excerpts_per_step:
-                             (step + 1) * config.excerpts_per_step]
-            trace.append((epoch, train_step(model, batch, state, params)))
-    if config.log_path:
-        with open(config.log_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "epoch", "loss"])
-            for i, (epoch, loss) in enumerate(trace):
-                writer.writerow([i, epoch, "%.10g" % loss])
-    return [loss for _, loss in trace]
+    with contextlib.ExitStack() as stack:
+        log = None
+        if config.log_path:
+            fh = stack.enter_context(open(config.log_path, "w", newline=""))
+            log = csv.writer(fh)
+            log.writerow(["step", "epoch", "loss"])
+        for epoch in range(config.epochs):
+            excerpts = build_excerpts(track_dirs, config, rng)
+            for step in range(config.steps_per_epoch):
+                batch = excerpts[step * config.excerpts_per_step:
+                                 (step + 1) * config.excerpts_per_step]
+                trace.append(train_step(model, batch, state, params))
+                if log is not None:
+                    log.writerow([len(trace) - 1, epoch, "%.10g" % trace[-1]])
+                    fh.flush()
+    return trace
 
 
 # ---------------------------------------------------------------------------

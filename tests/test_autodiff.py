@@ -62,6 +62,62 @@ def test_conv2d_matches_nested_loop_oracle(padding):
     np.testing.assert_allclose(out.data, expected, rtol=1e-6, atol=1e-12)
 
 
+def conv2d_grad_oracle(x, w, g, padding):
+    """gx, gw, gb of conv2d by nested loops over output pixels and taps,
+    in float64."""
+    x, w, g = (a.astype(np.float64) for a in (x, w, g))
+    c_out, c_in, kh, kw = w.shape
+    ph = kh // 2 if padding == "same" else 0
+    pw = kw // 2 if padding == "same" else 0
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    _, fo, to = g.shape
+    for o in range(c_out):
+        for i in range(fo):
+            for j in range(to):
+                for di in range(kh):
+                    for dj in range(kw):
+                        gw[o, :, di, dj] += g[o, i, j] * xp[:, i + di, j + dj]
+                        gxp[:, i + di, j + dj] += g[o, i, j] * w[o, :, di, dj]
+    gx = gxp[:, ph:ph + x.shape[1], pw:pw + x.shape[2]]
+    return gx, gw, g.sum(axis=(1, 2))
+
+
+# (c_in, c_out, kh, kw, padding, non-contiguous x view)
+CONV_GRAD_CASES = [
+    (4, 3, 3, 3, "same", False),
+    (4, 3, 3, 3, "valid", False),
+    (5, 2, 1, 1, "same", False),
+    (3, 2, 3, 1, "same", False),
+    (2, 7, 3, 3, "same", False),  # c_out > c_in, as in a band's stem
+    (3, 4, 3, 3, "valid", True),
+    (3, 4, 3, 3, "same", True),
+]
+
+
+@pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("c_in, c_out, kh, kw, padding, view", CONV_GRAD_CASES)
+def test_conv2d_backward_matches_nested_loop_oracle(c_in, c_out, kh, kw, padding, view,
+                                                    dtype, rel):
+    rng = np.random.default_rng(11)
+    if view:
+        base = rand(rng, c_in, 12, 9).astype(dtype)
+        xd = base[:, ::2, 1:-1]
+        assert not xd.flags.c_contiguous
+    else:
+        xd = rand(rng, c_in, 6, 7).astype(dtype)
+    x = ad.parameter(xd)
+    w = ad.parameter(rand(rng, c_out, c_in, kh, kw).astype(dtype))
+    b = ad.parameter(rand(rng, c_out).astype(dtype))
+    y = ad.conv2d(x, w, b, padding=padding)
+    g = rand(rng, *y.shape).astype(dtype)
+    ad.tsum(ad.mul(y, ad.constant(g))).backward()
+    for got, want in zip((x.grad, w.grad, b.grad), conv2d_grad_oracle(xd, w.data, g, padding)):
+        assert got.dtype == dtype and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=rel, atol=rel * np.abs(want).max())
+
+
 def test_conv2d_shape_errors():
     x = ad.constant(np.zeros((2, 4, 4)))
     w = ad.constant(np.zeros((3, 5, 3, 3)))
@@ -265,6 +321,16 @@ def test_batch_norm_eval_uses_running_stats():
     assert abs(y1.data.mean()) > 1e-6
 
 
+def test_batch_norm2d_folds_batch_stats_into_running_stats():
+    rng = np.random.default_rng(9)
+    bn = BatchNorm2d(2)
+    x = ad.constant(rand(rng, 2, 5, 6) * 3.0 + 1.0)
+    bn(x, (1, 1))
+    np.testing.assert_allclose(bn._buffers["running_mean"], 0.1 * x.data.mean(axis=(1, 2)))
+    np.testing.assert_allclose(bn._buffers["running_var"],
+                               0.9 + 0.1 * x.data.var(axis=(1, 2)))
+
+
 def eval_stats(rng, c, dtype=np.float64):
     gamma = ad.parameter((1.0 + 0.3 * rand(rng, c)).astype(dtype))
     beta = ad.parameter((0.5 * rand(rng, c)).astype(dtype))
@@ -311,6 +377,54 @@ def test_batch_norm_relu_eval_propagates_nan():
     out = ad.batch_norm_relu_eval(x, gamma, beta, mean, var, (1, 1)).data
     assert np.all(np.isnan(out[1, 1:-1, 1:-1]))
     assert np.all(np.isfinite(out[0]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_norm_relu_train_matches_unfused_padded(dtype):
+    """Outputs, batch statistics and the gradients of x, gamma and beta
+    equal np.pad(relu(batch_norm_train(x))) bit for bit."""
+    rng = np.random.default_rng(18)
+    x = ad.parameter(rand(rng, 3, 5, 7).astype(dtype))
+    gamma, beta, _, _ = eval_stats(rng, 3, dtype)
+    params = (x, gamma, beta)
+    for ph, pw in [(1, 1), (0, 0), (2, 1)]:
+        # the border of g is arbitrary: the halo is a constant
+        g = rand(rng, 3, 5 + 2 * ph, 7 + 2 * pw).astype(dtype)
+        runs = []
+        for fused in (True, False):
+            for p in params:
+                p.zero_grad()
+            if fused:
+                out, mean, var = ad.batch_norm_relu_train(x, gamma, beta, (ph, pw))
+                ad.tsum(ad.mul(out, ad.constant(g))).backward()
+                out = out.data
+            else:
+                y, mean, var = ad.batch_norm_train(x, gamma, beta)
+                y = ad.relu(y)
+                ad.tsum(ad.mul(y, ad.constant(g[:, ph:ph + 5, pw:pw + 7]))).backward()
+                out = np.pad(y.data, ((0, 0), (ph, ph), (pw, pw)))
+            runs.append([out, mean, var] + [p.grad for p in params])
+        for got, want in zip(*runs):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+
+def test_batch_norm_relu_train_grad_check():
+    rng = np.random.default_rng(19)
+    x = ad.parameter(rand(rng, 3, 4, 5))
+    gamma = ad.parameter(1.0 + 0.3 * rand(rng, 3))
+    beta = ad.parameter(0.3 * rand(rng, 3))
+    w = ad.constant(rand(rng, 2, 3, 3, 3))
+    b = ad.constant(np.zeros(2))
+
+    def build():
+        h, _, _ = ad.batch_norm_relu_train(x, gamma, beta, (1, 1))
+        y = ad.conv2d(h, w, b, padding="valid")
+        return ad.tmean(ad.mul(y, y))
+
+    report = ad.grad_check(build, [("x", x), ("gamma", gamma), ("beta", beta)],
+                           rng=rng, max_entries=10, shrink_retries=2)
+    assert report["passed"], report
 
 
 # ---------------------------------------------------------------------------

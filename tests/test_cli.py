@@ -137,6 +137,36 @@ def test_inspect_checkpoint_with_feature_norms(capsys, trained_ckpt, data_dir):
     assert "feature-map RMS at band1/d1" in out
 
 
+def test_inspect_feature_norms_use_eval_mode(capsys, monkeypatch, trained_ckpt, data_dir):
+    # the norms come from the loaded running statistics, which stay as loaded
+    from stemsep.dsp import stft
+    from stemsep.model import feature_map_norms
+
+    loaded = []
+
+    def load(path):
+        loaded.append(load_checkpoint_model(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_checkpoint_model", load)
+    wav = os.path.join(data_dir, "track00", "mixture.wav")
+    rc = cli.main(["inspect", "--checkpoint", trained_ckpt, "--input", wav,
+                   "--slot", "band1/d2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+
+    fresh = load_checkpoint_model(trained_ckpt)
+    buffers = list(fresh.named_buffers())
+    assert buffers
+    for (name, got), (_, want) in zip(loaded[0].named_buffers(), buffers):
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    fresh.set_training(False)
+    mag = stft(read_wav(wav), fft_size=fresh.spec.fft_size).magnitude()
+    norms, _ = feature_map_norms(fresh, mag, "band1/d2")
+    printed = out.split("feature-map RMS at band1/d2:\n")[1].splitlines()
+    assert [line.split()[1] for line in printed] == ["%.6g" % v for v in norms]
+
+
 def test_config_echo(capsys, tmp_path):
     cli.main(["synth-data", str(tmp_path), "--tracks", "1", "--duration", "1.0",
               "--sample-rate", "8000"])

@@ -54,7 +54,13 @@ def dense_block_reference(blk, x):
     state = x
     for j in range(blk.layers):
         layer = blk._children["layer%d" % j]
-        outputs.append(layer.conv(ad.relu(layer.bn(state))))
+        bn = layer.bn
+        if bn.training:
+            h, _, _ = ad.batch_norm_train(state, bn.gamma, bn.beta, bn.eps)
+        else:
+            h = ad.batch_norm_eval(state, bn.gamma, bn.beta, bn._buffers["running_mean"],
+                                   bn._buffers["running_var"], bn.eps)
+        outputs.append(layer.conv(ad.relu(h)))
         state = ad.concat([x] + outputs, axis=0)
     return ad.concat(outputs, axis=0)
 

@@ -265,6 +265,29 @@ def test_train_writes_csv_log(toy_dir, tmp_path):
     assert len(lines) == len(trace) + 1
 
 
+def test_train_log_keeps_rows_of_finished_steps(toy_dir, tmp_path, monkeypatch):
+    import stemsep.train as train_mod
+
+    calls = []
+    real_step = train_mod.train_step
+
+    def step(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise TrainError("stopped in step 2")
+        return real_step(*args)
+
+    monkeypatch.setattr(train_mod, "train_step", step)
+    log = tmp_path / "loss.csv"
+    model = build_model(toy_arch(), seed=3)
+    with pytest.raises(TrainError, match="step 2"):
+        train(model, toy_dir, toy_config(log_path=str(log)))
+    lines = log.read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[0] == "step,epoch,loss"
+    assert lines[1].startswith("0,0,")
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_non_finite_loss_aborts():
     model = build_model(toy_arch(), seed=4)
