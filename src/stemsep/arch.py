@@ -14,7 +14,7 @@ import hashlib
 import importlib.resources
 from dataclasses import dataclass, field, replace
 
-from .dsp import BandLayout
+from .dsp import BandLayout, InputError
 
 VALID_MODES = ("Sa", "Sb", "P")
 
@@ -115,11 +115,21 @@ class ArchSpec:
     def __post_init__(self):
         if self.mode not in VALID_MODES:
             raise ConfigError("combination mode must be one of %r" % (VALID_MODES,))
+        # fft_size 4 is the least with a nonzero hop
+        for key, low in (("fft_size", 4), ("sample_rate", 1), ("io_channels", 1),
+                         ("merge_channels", 1), ("final_growth", 1), ("final_layers", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError("%s must be at least %d, got %r"
+                                  % (key, low, getattr(self, key)))
         if len(self.band_edges_hz) != len(self.bands) - 1:
             raise ConfigError(
                 "%d band edges cannot partition the spectrum into %d bands"
                 % (len(self.band_edges_hz), len(self.bands))
             )
+        try:
+            self.band_layout()
+        except InputError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def num_bins(self):
@@ -254,16 +264,16 @@ def default_arch() -> ArchSpec:
 # reductions for desk-scale runs
 
 
-def reduce_spec(spec: ArchSpec, growth_div=2, unit_div=2) -> ArchSpec:
+def reduce_spec(spec: ArchSpec) -> ArchSpec:
     """Shrink for desk-scale tests: growth halved, one scale fewer.
 
     The deepest down-slot of every band is dropped (its LSTM, if any,
     moves to the new bottleneck) along with the matching up-slot; LSTM
-    units are divided by unit_div.
+    units are halved.
     """
 
     def shrink(plan: BandPlan) -> BandPlan:
-        growth = max(1, plan.growth // growth_div)
+        growth = max(1, plan.growth // 2)
         down = list(plan.down_slots)
         up = list(plan.up_slots)
         if len(down) > 1:
@@ -278,7 +288,7 @@ def reduce_spec(spec: ArchSpec, growth_div=2, unit_div=2) -> ArchSpec:
                 dense = DenseBlockSpec(layers=slot.dense.layers, growth=growth)
             lstm = None
             if slot.lstm is not None:
-                lstm = LstmBlockSpec(units=max(1, slot.lstm.units // unit_div))
+                lstm = LstmBlockSpec(units=max(1, slot.lstm.units // 2))
             return ScaleSlot(position=slot.position, dense=dense, lstm=lstm)
 
         return BandPlan(plan.name, growth, tuple(adjust(s) for s in down + up))
@@ -292,7 +302,7 @@ def reduce_spec(spec: ArchSpec, growth_div=2, unit_div=2) -> ArchSpec:
     return replace(reduced, source_text=canonical_text(reduced))
 
 
-def toy_arch(fft_size=256, sample_rate=8000, band_edges_hz=(800, 2200)) -> ArchSpec:
+def toy_arch(fft_size=256, sample_rate=8000) -> ArchSpec:
     """A tiny three-band spec for fast structural and gradient tests."""
     def band(name, growth, slots):
         return BandPlan(name, growth, tuple(slots))
@@ -326,35 +336,10 @@ def toy_arch(fft_size=256, sample_rate=8000, band_edges_hz=(800, 2200)) -> ArchS
         final_growth=3,
         fft_size=fft_size,
         sample_rate=sample_rate,
-        band_edges_hz=band_edges_hz,
+        band_edges_hz=(800, 2200),
         merge_channels=4,
     )
     return replace(spec, source_text=canonical_text(spec))
-
-
-# ---------------------------------------------------------------------------
-# closed-form parameter counts
-
-
-def conv_param_count(c_in, c_out, kh, kw):
-    return c_in * c_out * kh * kw + c_out
-
-
-def dense_block_param_count(c_in, layers, growth):
-    total = 0
-    for j in range(layers):
-        cin_j = c_in + j * growth
-        total += 2 * cin_j  # batch norm affine
-        total += conv_param_count(cin_j, growth, 3, 3)
-    return total
-
-
-def lstm_block_param_count(c_in, f_s, units):
-    m = units
-    reduce_conv = conv_param_count(c_in, 1, 1, 1)
-    lstm = 8 * (m * f_s + m * m + m)  # 2 directions x 4 gates x (in + rec + bias)
-    back = 2 * m * f_s + f_s  # linear 2m -> f
-    return reduce_conv + lstm + back
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,9 @@ from .model import (
     count_params,
     feature_map_norms,
     load_checkpoint_model,
-    read_checkpoint_header,
     save_checkpoint,
 )
-from .separation import SOURCE_NAMES, SeparationError, separate_track
+from .separation import SOURCE_NAMES, SeparationError, normalize_magnitude, separate_track
 from .train import TrainConfig, TrainError, make_toy_dataset
 
 
@@ -57,7 +56,6 @@ def cmd_train(args):
         learning_rate=args.lr,
         seed=args.seed,
         augment=args.augment,
-        fft_size=spec.fft_size,
         log_path=args.log,
     )
     model = build_model(spec, seed=args.seed)
@@ -118,24 +116,30 @@ def _track_dirs(root):
 
 
 def _load_stems(track_dir):
-    out = {}
-    for entry in sorted(os.listdir(track_dir)):
-        if entry.endswith(".wav"):
-            out[entry[:-4]] = read_wav(os.path.join(track_dir, entry)).samples
-    return out
+    """stem name -> AudioClip for every WAV in a track directory."""
+    return {entry[:-4]: read_wav(os.path.join(track_dir, entry))
+            for entry in sorted(os.listdir(track_dir)) if entry.endswith(".wav")}
 
 
 def _eval_one(job):
-    name, ref_dir, est_dir, filter_len, window_s, hop_s, sample_rate = job
-    refs = _load_stems(ref_dir)
-    ests = _load_stems(est_dir)
+    """Score one track at the sample rate its WAVs share."""
+    name, ref_dir, est_dir, filter_len, window_s, hop_s = job
+    loaded = {"reference": _load_stems(ref_dir), "estimate": _load_stems(est_dir)}
+    rates = {"%s %s" % (kind, n): c.sample_rate
+             for kind, clips in loaded.items() for n, c in clips.items()}
+    rate, *others = set(rates.values())
+    if others:
+        raise evaluation.EvalError("track %s: WAV sample rates differ: %s" % (
+            name, ", ".join("%s %d Hz" % item for item in rates.items())))
+    refs, ests = ({n: c.samples for n, c in loaded[kind].items()}
+                  for kind in ("reference", "estimate"))
     mixture = refs.pop("mixture", None)
     if "accompaniment" in ests and "accompaniment" not in refs \
             and mixture is not None and "vocals" in refs:
         refs["accompaniment"] = mixture - refs["vocals"]
     result = evaluation.evaluate_track(
         refs, ests, filter_len=filter_len, window_s=window_s, hop_s=hop_s,
-        sample_rate=sample_rate,
+        sample_rate=rate,
     )
     return name, result
 
@@ -148,7 +152,7 @@ def cmd_evaluate(args):
         raise InputError("no track names shared between estimates and references")
     jobs = [
         (name, ref_tracks[name], est_tracks[name], args.filter_len,
-         args.window, args.hop, args.sample_rate)
+         args.window, args.hop)
         for name in common
     ]
     if args.jobs > 1:
@@ -165,12 +169,10 @@ def cmd_evaluate(args):
 
 def cmd_inspect(args):
     if args.checkpoint:
-        header, _ = read_checkpoint_header(args.checkpoint)
-        spec = arch_mod.parse_arch_text(header["arch_text"])
         model = load_checkpoint_model(args.checkpoint)
     else:
-        spec = _load_arch(args)
-        model = build_model(spec, seed=0)
+        model = build_model(_load_arch(args), seed=0)
+    spec = model.spec
     total, itemized = count_params(model)
     print("total parameters: %d" % total)
     for key in sorted(itemized):
@@ -184,7 +186,7 @@ def cmd_inspect(args):
     print("  overall  %4d" % rf["overall_conv_frames"])
     if args.input and args.slot:
         clip = read_wav(args.input)
-        mag = stft(clip, fft_size=spec.fft_size).magnitude()
+        mag, _ = normalize_magnitude(stft(clip, fft_size=spec.fft_size).magnitude())
         model.set_training(False)  # BN reads the loaded running statistics, unchanged
         norms, lstm_channel = feature_map_norms(model, mag, args.slot)
         print("feature-map RMS at %s:" % args.slot)
@@ -250,7 +252,6 @@ def build_parser():
                    help="scoring window in seconds")
     p.add_argument("--hop", type=float, default=evaluation.DEFAULT_HOP_S,
                    help="scoring hop in seconds")
-    p.add_argument("--sample-rate", type=int, default=44100)
     p.add_argument("--jobs", type=int, default=1, help="parallel tracks")
     p.set_defaults(func=cmd_evaluate)
 

@@ -16,12 +16,16 @@ import numpy as np
 from scipy.io import wavfile
 
 DEFAULT_FFT_SIZE = 4096
-DEFAULT_HOP = 1024  # 75% overlap
 DEFAULT_SAMPLE_RATE = 44100
 
 
 class InputError(ValueError):
     """Malformed audio or spectrogram input."""
+
+
+def hop_size(fft_size):
+    """The hop of every STFT: a quarter of the frame (75% overlap)."""
+    return fft_size // 4
 
 
 @dataclass
@@ -39,16 +43,8 @@ class AudioClip:
             raise InputError("sample_rate must be positive")
 
     @property
-    def num_channels(self):
-        return self.samples.shape[0]
-
-    @property
     def num_samples(self):
         return self.samples.shape[1]
-
-    @property
-    def duration(self):
-        return self.num_samples / self.sample_rate
 
 
 @dataclass
@@ -57,9 +53,7 @@ class Spectrogram:
 
     bins: np.ndarray
     fft_size: int
-    hop: int
     sample_rate: int
-    window: str = "raised-cosine"
     num_samples: int | None = None  # original clip length, for exact istft crop
 
     def __post_init__(self):
@@ -70,16 +64,12 @@ class Spectrogram:
             )
 
     @property
+    def hop(self):
+        return hop_size(self.fft_size)
+
+    @property
     def num_channels(self):
         return self.bins.shape[0]
-
-    @property
-    def num_frames(self):
-        return self.bins.shape[1]
-
-    @property
-    def num_bins(self):
-        return self.bins.shape[2]
 
     def magnitude(self):
         """Magnitude as a (channels, bins, frames) map for the model."""
@@ -89,9 +79,7 @@ class Spectrogram:
         return Spectrogram(
             bins=bins,
             fft_size=self.fft_size,
-            hop=self.hop,
             sample_rate=self.sample_rate,
-            window=self.window,
             num_samples=self.num_samples,
         )
 
@@ -101,9 +89,8 @@ def raised_cosine_window(n):
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft(clip: AudioClip, fft_size=DEFAULT_FFT_SIZE, hop=None) -> Spectrogram:
-    if hop is None:
-        hop = fft_size // 4
+def stft(clip: AudioClip, fft_size=DEFAULT_FFT_SIZE) -> Spectrogram:
+    hop = hop_size(fft_size)
     if clip.num_samples == 0:
         raise InputError("empty clip")
     x = clip.samples
@@ -122,7 +109,6 @@ def stft(clip: AudioClip, fft_size=DEFAULT_FFT_SIZE, hop=None) -> Spectrogram:
     return Spectrogram(
         bins=bins,
         fft_size=fft_size,
-        hop=hop,
         sample_rate=clip.sample_rate,
         num_samples=n,
     )
@@ -149,17 +135,16 @@ def istft(spec: Spectrogram) -> AudioClip:
     segs = np.fft.irfft(spec.bins, n=n, axis=2) * window
     for m in range(frames):
         out[:, m * hop:m * hop + n] += segs[:, m, :]
-    norm = cola_profile(n, hop, frames)
+    norm = cola_profile(n, frames)
     out /= np.maximum(norm, 0.01 * norm.max())
     if spec.num_samples is not None:
         out = out[:, :spec.num_samples]
     return AudioClip(out, spec.sample_rate)
 
 
-def cola_profile(fft_size=DEFAULT_FFT_SIZE, hop=None, frames=16):
+def cola_profile(fft_size=DEFAULT_FFT_SIZE, frames=16):
     """Overlap-added squared-window profile (constant on the interior)."""
-    if hop is None:
-        hop = fft_size // 4
+    hop = hop_size(fft_size)
     w2 = raised_cosine_window(fft_size) ** 2
     total = (frames - 1) * hop + fft_size
     norm = np.zeros(total)

@@ -222,16 +222,6 @@ def _score(references, span, estimates, filter_len):
             for vals in per_channel]
 
 
-def evaluate_estimate(estimate, references, true_index, filter_len=DEFAULT_FILTER_LEN):
-    """Metrics for one stereo (or mono) estimate: channels scored
-    independently, dB values averaged."""
-    estimate = np.atleast_2d(np.asarray(estimate))
-    refs = np.asarray(references)
-    if refs.ndim == 2:
-        refs = refs[:, None, :]
-    return _score(refs, 0, [(true_index, estimate)], filter_len)[0]
-
-
 # ---------------------------------------------------------------------------
 # windowed track evaluation and aggregation
 
@@ -319,11 +309,6 @@ def aggregate(per_song: dict) -> dict:
 def write_report(path, report):
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
-
-
-def read_report(path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def format_report(report) -> str:

@@ -58,9 +58,6 @@ class Module:
         for child in self._children.values():
             child.set_training(flag)
 
-    def num_params(self):
-        return sum(p.size for _, p in self.named_params())
-
     def zero_grad(self):
         for _, p in self.named_params():
             p.zero_grad()
@@ -83,17 +80,16 @@ def _uniform_fan_in(rng, shape, fan_in, dtype=DEFAULT_DTYPE):
 
 
 class Conv2d(Module):
-    def __init__(self, c_in, c_out, kh, kw, rng, padding="same"):
+    def __init__(self, c_in, c_out, kh, kw, rng):
         super().__init__()
         self.c_in, self.c_out = c_in, c_out
-        self.padding = padding
         self.weight = self.add_param(
             "weight", _uniform_fan_in(rng, (c_out, c_in, kh, kw), c_in * kh * kw)
         )
         self.bias = self.add_param("bias", np.zeros(c_out, dtype=DEFAULT_DTYPE))
 
     def forward(self, x):
-        return ad.conv2d(x, self.weight, self.bias, padding=self.padding)
+        return ad.conv2d(x, self.weight, self.bias, padding="same")
 
 
 class ConvTranspose2x2(Module):
@@ -121,11 +117,12 @@ class BatchNorm2d(Module):
     autodiff.batch_norm_relu_eval.
     """
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    eps = 1e-5
+    momentum = 0.1  # weight of the batch statistics in the running ones
+
+    def __init__(self, channels):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = self.add_param("gamma", np.ones(channels, dtype=DEFAULT_DTYPE))
         self.beta = self.add_param("beta", np.zeros(channels, dtype=DEFAULT_DTYPE))
         self.add_buffer("running_mean", np.zeros(channels, dtype=DEFAULT_DTYPE))

@@ -531,13 +531,13 @@ def load_checkpoint(path, model: SeparationModel):
     return header
 
 
-def load_checkpoint_model(path, seed=0) -> SeparationModel:
+def load_checkpoint_model(path) -> SeparationModel:
     """Rebuild the model from the arch text embedded in the checkpoint."""
     from .arch import parse_arch_text
 
     header, _ = read_checkpoint_header(path)
     spec = parse_arch_text(header["arch_text"])
-    model = build_model(spec, seed=seed)
+    model = build_model(spec)
     if header["entries"] and header["entries"][0]["dtype"] == "float32":
         model.astype(np.float32)
     load_checkpoint(path, model)

@@ -16,6 +16,8 @@ from . import autodiff as ad
 from .dsp import AudioClip, Spectrogram, istft, stft, warn_if_unexpected_rate
 
 SOURCE_NAMES = ("bass", "drums", "other", "vocals")
+SOFT_MASK_EPS = 1e-12  # added to the summed source power
+WIENER_EPS_SCALE = 1e-10  # diagonal loading, relative to the mean mixture power
 
 
 class SeparationError(ValueError):
@@ -39,13 +41,13 @@ def ideal_binary_mask(source_mags: dict) -> dict:
     return {n: (winner == i).astype(stack.dtype) for i, n in enumerate(names)}
 
 
-def soft_mask(source_powers: dict, eps=1e-12) -> dict:
+def soft_mask(source_powers: dict) -> dict:
     """Power-ratio masks v_j / sum_k v_k; masks sum to one per bin."""
     names = list(source_powers)
     stack = np.stack([np.asarray(source_powers[n]) for n in names])
     if np.any(stack < 0):
         raise SeparationError("source powers must be non-negative")
-    denom = stack.sum(axis=0) + eps
+    denom = stack.sum(axis=0) + SOFT_MASK_EPS
     return {n: stack[i] / denom for i, n in enumerate(names)}
 
 
@@ -64,7 +66,7 @@ def _invert_2x2_hermitian(m):
     return inv
 
 
-def multichannel_wiener(mixture_stft, estimate_mags: dict, eps_scale=1e-10,
+def multichannel_wiener(mixture_stft, estimate_mags: dict,
                         force_identity_covariance=False) -> dict:
     """Single-pass multichannel Wiener filter for a stereo mixture.
 
@@ -114,7 +116,7 @@ def multichannel_wiener(mixture_stft, estimate_mags: dict, eps_scale=1e-10,
     mix_cov = np.zeros((f, t, 2, 2), dtype=complex)
     for j in range(len(names)):
         mix_cov += v[j][..., None, None] * cov[j][:, None, :, :]
-    eps = eps_scale * max(float((np.abs(x) ** 2).mean()), 1e-300)
+    eps = WIENER_EPS_SCALE * max(float((np.abs(x) ** 2).mean()), 1e-300)
     mix_cov += eps * eye
     inv_mix = _invert_2x2_hermitian(mix_cov)
 
@@ -150,16 +152,22 @@ def blend(estimates_a: dict, estimates_b: dict, weight) -> dict:
 # end-to-end pipeline
 
 
-def estimate_magnitudes(models: dict, spec: Spectrogram) -> dict:
-    """Run each source model on the (normalized) mixture magnitude."""
-    mag = spec.magnitude()
+def normalize_magnitude(mag):
+    """(mag / norm, norm) with norm the RMS of mag (1.0 for silence): the
+    scale every model sees, in training, separation and inspection."""
     norm = np.sqrt((mag ** 2).mean())
     norm = norm if norm > 0 else 1.0
+    return mag / norm, norm
+
+
+def estimate_magnitudes(models: dict, spec: Spectrogram) -> dict:
+    """Run each source model on the (normalized) mixture magnitude."""
+    mag, norm = normalize_magnitude(spec.magnitude())
     out = {}
     for name, model in models.items():
         model.set_training(False)
         with ad.no_grad():
-            est = model.forward(mag / norm).data
+            est = model.forward(mag).data
         out[name] = est * norm
     return out
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .dsp import AudioClip, read_wav, stft, write_wav
-from .separation import SOURCE_NAMES
+from .dsp import DEFAULT_FFT_SIZE, AudioClip, hop_size, read_wav, stft, write_wav
+from .separation import SOURCE_NAMES, normalize_magnitude
 
 
 class TrainError(RuntimeError):
@@ -45,10 +45,10 @@ def mse_loss(pred: ad.Tensor, target: ad.Tensor) -> ad.Tensor:
 class AdamState:
     """Per-parameter first/second moment estimates plus the step count."""
 
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
     alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -83,26 +83,23 @@ def adam_step(params: dict, state: AdamState) -> None:
 # augmentation
 
 
-def augment(sources: dict, seed, channel_swap=True, gain=True, offsets=True,
-            gain_range=(0.25, 1.25), max_offset_s=2.0):
+def augment(sources: dict, seed):
     """Random remix of aligned source clips.
 
-    Per source: optional channel swap, random gain in gain_range, and a
-    random circular excerpt offset. Returns (mixture, augmented sources);
-    the mixture is always the exact sample-wise sum of what is returned.
+    Per source: a random circular offset of up to 2 s, a channel swap
+    with probability 1/2 (stereo only), and a random gain in
+    [0.25, 1.25). Returns (mixture, augmented sources); the mixture is
+    always the exact sample-wise sum of what is returned.
     """
     rng = np.random.default_rng(seed)
     out = {}
     for name in sorted(sources):
         clip = sources[name]
-        x = clip.samples
-        if offsets:
-            shift = int(rng.integers(0, max(1, int(max_offset_s * clip.sample_rate))))
-            x = np.roll(x, shift, axis=1)
-        if channel_swap and x.shape[0] == 2 and rng.random() < 0.5:
+        shift = int(rng.integers(0, max(1, int(2.0 * clip.sample_rate))))
+        x = np.roll(clip.samples, shift, axis=1)
+        if x.shape[0] == 2 and rng.random() < 0.5:
             x = x[::-1]
-        if gain:
-            x = x * rng.uniform(*gain_range)
+        x = x * rng.uniform(0.25, 1.25)
         out[name] = AudioClip(np.ascontiguousarray(x), clip.sample_rate)
     mixture = AudioClip(
         np.sum([c.samples for c in out.values()], axis=0),
@@ -148,7 +145,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     augment: bool = False
-    fft_size: int = 4096
     log_path: str | None = None
 
     def __post_init__(self):
@@ -158,10 +154,11 @@ class TrainConfig:
             raise TrainError("unknown target source %r" % self.source)
 
 
-def make_excerpt(mixture_clip, target_clip, start_frame, frames, fft_size=4096):
+def make_excerpt(mixture_clip, target_clip, start_frame, frames,
+                 fft_size=DEFAULT_FFT_SIZE):
     """One (mixture, target) magnitude pair, normalized by the mixture's
     magnitude RMS over the excerpt."""
-    hop = fft_size // 4
+    hop = hop_size(fft_size)
     start = start_frame * hop
     need = (frames - 1) * hop + fft_size
     mix = AudioClip(mixture_clip.samples[:, start:start + need],
@@ -170,14 +167,14 @@ def make_excerpt(mixture_clip, target_clip, start_frame, frames, fft_size=4096):
                     target_clip.sample_rate)
     mix_mag = stft(mix, fft_size=fft_size).magnitude()[:, :, :frames]
     tgt_mag = stft(tgt, fft_size=fft_size).magnitude()[:, :, :frames]
-    norm = np.sqrt((mix_mag ** 2).mean())
-    norm = norm if norm > 0 else 1.0
-    return mix_mag / norm, tgt_mag / norm
+    mix_mag, norm = normalize_magnitude(mix_mag)
+    return mix_mag, tgt_mag / norm
 
 
-def build_excerpts(track_dirs, config: TrainConfig, rng):
-    """Sample (mixture, target) magnitude excerpts across the tracks."""
-    hop = config.fft_size // 4
+def build_excerpts(track_dirs, config: TrainConfig, rng, fft_size):
+    """Sample (mixture, target) magnitude excerpts of an fft_size-point
+    STFT across the tracks."""
+    hop = hop_size(fft_size)
     excerpts = []
     n = config.steps_per_epoch * config.excerpts_per_step
     for i in range(n):
@@ -191,22 +188,20 @@ def build_excerpts(track_dirs, config: TrainConfig, rng):
             target = sources[config.source]
         else:
             mixture, target = clips["mixture"], clips[config.source]
-        max_start = (mixture.num_samples - config.fft_size) // hop \
+        max_start = (mixture.num_samples - fft_size) // hop \
             - config.frames_per_excerpt
         if max_start < 0:
             raise TrainError("track %r too short for %d-frame excerpts"
                              % (track_dir, config.frames_per_excerpt))
         start = int(rng.integers(0, max_start + 1))
         excerpts.append(make_excerpt(mixture, target, start,
-                                     config.frames_per_excerpt, config.fft_size))
+                                     config.frames_per_excerpt, fft_size))
     return excerpts
 
 
-def train_step(model, batch, state: AdamState, params=None):
+def train_step(model, batch, state: AdamState):
     """forward -> loss -> backward -> Adam over one list of excerpts,
     averaging gradients across the excerpts. Returns the mean loss."""
-    if params is None:
-        params = dict(model.named_params())
     model.set_training(True)
     model.zero_grad()
     losses = []
@@ -219,21 +214,19 @@ def train_step(model, batch, state: AdamState, params=None):
             )
         ad.scale(loss, 1.0 / len(batch)).backward()
         losses.append(float(loss.data))
-    adam_step(params, state)
+    adam_step(dict(model.named_params()), state)
     return float(np.mean(losses))
 
 
-def train(model, dataset_dir, config: TrainConfig, state: AdamState | None = None):
-    """Full training run over a dataset directory. Returns the loss trace
-    (one entry per optimizer step). With config.log_path set, writes it
-    as a step,epoch,loss CSV that gets each row, flushed, as its step
-    ends, so a run that stops early leaves the rows of its finished
-    steps."""
-    if state is None:
-        state = AdamState(alpha=config.learning_rate)
+def train(model, dataset_dir, config: TrainConfig):
+    """Full training run over a dataset directory, on excerpts of the
+    model's STFT size. Returns the loss trace (one entry per optimizer
+    step). With config.log_path set, writes it as a step,epoch,loss CSV
+    that gets each row, flushed, as its step ends, so a run that stops
+    early leaves the rows of its finished steps."""
+    state = AdamState(alpha=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     track_dirs = list_tracks(dataset_dir)
-    params = dict(model.named_params())
     trace = []
     with contextlib.ExitStack() as stack:
         log = None
@@ -242,11 +235,11 @@ def train(model, dataset_dir, config: TrainConfig, state: AdamState | None = Non
             log = csv.writer(fh)
             log.writerow(["step", "epoch", "loss"])
         for epoch in range(config.epochs):
-            excerpts = build_excerpts(track_dirs, config, rng)
+            excerpts = build_excerpts(track_dirs, config, rng, model.spec.fft_size)
             for step in range(config.steps_per_epoch):
                 batch = excerpts[step * config.excerpts_per_step:
                                  (step + 1) * config.excerpts_per_step]
-                trace.append(train_step(model, batch, state, params))
+                trace.append(train_step(model, batch, state))
                 if log is not None:
                     log.writerow([len(trace) - 1, epoch, "%.10g" % trace[-1]])
                     fh.flush()

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import stemsep.autodiff as ad
+from closed_forms import lstm_block_param_count
 from stemsep import arch, dsp, evaluation
 from stemsep.arch import (
     BandPlan,
@@ -21,7 +22,6 @@ from stemsep.arch import (
     LstmBlockSpec,
     ScaleSlot,
     default_arch,
-    lstm_block_param_count,
     receptive_field,
     reduce_spec,
     toy_arch,
@@ -520,7 +520,7 @@ def test_criterion_10_checkpoints_and_reproducibility(toy_data, tmp_path):
     for _ in range(2):
         m = build_model(toy_arch(), seed=3)
         cfg = TrainConfig(source="vocals", frames_per_excerpt=16,
-                          steps_per_epoch=3, epochs=1, seed=4, fft_size=256)
+                          steps_per_epoch=3, epochs=1, seed=4)
         traces.append(train(m, toy_data, cfg))
         finals.append({k: v.data.copy() for k, v in m.named_params()})
     repro = traces[0] == traces[1] and all(

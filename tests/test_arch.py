@@ -1,5 +1,6 @@
 import pytest
 
+from closed_forms import conv_param_count, dense_block_param_count, lstm_block_param_count
 from stemsep import arch
 from stemsep.arch import (
     ArchSpec,
@@ -142,9 +143,9 @@ def test_receptive_field_full_spec_reports_all_bands():
 
 
 def test_conv_and_dense_closed_forms():
-    assert arch.conv_param_count(2, 14, 3, 3) == 2 * 14 * 9 + 14  # 266
+    assert conv_param_count(2, 14, 3, 3) == 2 * 14 * 9 + 14  # 266
     # l=5, k=14, c_in=2: layer j sees 2 + j*14 channels
-    total = arch.dense_block_param_count(2, 5, 14)
+    total = dense_block_param_count(2, 5, 14)
     expected = sum(2 * c + (c * 14 * 9 + 14) for c in (2, 16, 30, 44, 58))
     assert total == expected
 
@@ -155,7 +156,7 @@ def test_lstm_block_closed_form_hand_count():
     # per direction, 4 gates: 8*16 in + 8*8 rec + 8 bias = 200 -> x4 gates
     # both directions: 2 * 4 * 200 = 1600
     # linear 2m->f: 16*16 + 16 = 272
-    assert arch.lstm_block_param_count(4, 16, 8) == 5 + 1600 + 272
+    assert lstm_block_param_count(4, 16, 8) == 5 + 1600 + 272
 
 
 def test_toy_arch_is_valid():

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -5,9 +6,13 @@ import pytest
 
 from stemsep import cli
 from stemsep.arch import canonical_text, toy_arch
-from stemsep.dsp import read_wav
-from stemsep.evaluation import read_report
+from stemsep.dsp import AudioClip, read_wav, write_wav
 from stemsep.model import load_checkpoint_model
+
+
+def read_report(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +99,7 @@ def test_separate_then_evaluate_compose(tmp_path, trained_ckpt, data_dir):
     scores = tmp_path / "scores.json"
     rc = cli.main(["evaluate", "--estimates", str(est_root),
                    "--references", data_dir, "--out", str(scores),
-                   "--filter-len", "16", "--window", "1.0", "--hop", "0.5",
-                   "--sample-rate", "8000"])
+                   "--filter-len", "16", "--window", "1.0", "--hop", "0.5"])
     assert rc == 0
     report = read_report(scores)
     assert "vocals" in report["medians"]
@@ -108,8 +112,7 @@ def test_evaluate_jobs_flag_gives_same_scores(tmp_path, trained_ckpt, data_dir):
         cli.main(["separate", os.path.join(data_dir, track, "mixture.wav"),
                   "--checkpoints", trained_ckpt, "--out", str(est_root / track)])
     args = ["--estimates", str(est_root), "--references", data_dir,
-            "--filter-len", "8", "--window", "1.0", "--hop", "0.5",
-            "--sample-rate", "8000"]
+            "--filter-len", "8", "--window", "1.0", "--hop", "0.5"]
     s1, s2 = tmp_path / "s1.json", tmp_path / "s2.json"
     assert cli.main(["evaluate", *args, "--out", str(s1), "--jobs", "1"]) == 0
     assert cli.main(["evaluate", *args, "--out", str(s2), "--jobs", "2"]) == 0
@@ -141,6 +144,7 @@ def test_inspect_feature_norms_use_eval_mode(capsys, monkeypatch, trained_ckpt, 
     # the norms come from the loaded running statistics, which stay as loaded
     from stemsep.dsp import stft
     from stemsep.model import feature_map_norms
+    from stemsep.separation import normalize_magnitude
 
     loaded = []
 
@@ -161,10 +165,89 @@ def test_inspect_feature_norms_use_eval_mode(capsys, monkeypatch, trained_ckpt, 
     for (name, got), (_, want) in zip(loaded[0].named_buffers(), buffers):
         np.testing.assert_array_equal(got, want, err_msg=name)
     fresh.set_training(False)
-    mag = stft(read_wav(wav), fft_size=fresh.spec.fft_size).magnitude()
+    mag, _ = normalize_magnitude(stft(read_wav(wav), fft_size=fresh.spec.fft_size).magnitude())
     norms, _ = feature_map_norms(fresh, mag, "band1/d2")
     printed = out.split("feature-map RMS at band1/d2:\n")[1].splitlines()
     assert [line.split()[1] for line in printed] == ["%.6g" % v for v in norms]
+
+
+def test_inspect_feature_norms_ignore_input_level(capsys, tmp_path, trained_ckpt, data_dir):
+    # the model sees its input RMS-normalized, as in training and separation;
+    # doubling a float32 WAV is exact through the STFT and the RMS
+    clip = read_wav(os.path.join(data_dir, "track00", "mixture.wav"))
+    printed = []
+    for gain in (1.0, 2.0):
+        wav = tmp_path / ("gain%g.wav" % gain)
+        write_wav(str(wav), AudioClip(gain * clip.samples, clip.sample_rate))
+        rc = cli.main(["inspect", "--checkpoint", trained_ckpt, "--input", str(wav),
+                       "--slot", "band1/d2"])
+        assert rc == 0
+        printed.append(capsys.readouterr().out.split("feature-map RMS at band1/d2:\n")[1])
+    assert printed[0] == printed[1]
+
+
+def _copy_track(src_dir, out_dir, names, rates=None):
+    os.makedirs(out_dir)
+    for name in names:
+        clip = read_wav(os.path.join(src_dir, name + ".wav"))
+        rate = (rates or {}).get(name, clip.sample_rate)
+        write_wav(os.path.join(out_dir, name + ".wav"), AudioClip(clip.samples, rate))
+
+
+STEMS = ("bass", "drums", "other", "vocals")
+
+
+def test_evaluate_scores_at_the_wav_rate(tmp_path, data_dir):
+    # 2.5 s at 8 kHz: 1 s windows every 0.5 s start at 0, 0.5, 1 and 1.5 s
+    track = os.path.join(data_dir, "track00")
+    _copy_track(track, tmp_path / "refs" / "track00", STEMS + ("mixture",))
+    _copy_track(track, tmp_path / "ests" / "track00", STEMS)
+    scores = tmp_path / "scores.json"
+    rc = cli.main(["evaluate", "--estimates", str(tmp_path / "ests"),
+                   "--references", str(tmp_path / "refs"), "--out", str(scores),
+                   "--filter-len", "8", "--window", "1.0", "--hop", "0.5"])
+    assert rc == 0
+    song = read_report(scores)["songs"]["track00"]
+    assert sorted(song) == sorted(STEMS)
+    assert all(len(song[name]["windows"]) == 4 for name in STEMS)
+
+
+@pytest.mark.parametrize("side,odd", [
+    ("refs", "drums"), ("refs", "mixture"), ("ests", "vocals"),
+])
+def test_evaluate_rejects_mixed_sample_rates(capsys, tmp_path, data_dir, side, odd):
+    track = os.path.join(data_dir, "track00")
+    for where in ("refs", "ests"):
+        names = STEMS + ("mixture",) if where == "refs" else STEMS
+        _copy_track(track, tmp_path / where / "track00", names,
+                    rates={odd: 16000} if where == side else None)
+    rc = cli.main(["evaluate", "--estimates", str(tmp_path / "ests"),
+                   "--references", str(tmp_path / "refs"),
+                   "--out", str(tmp_path / "scores.json"), "--filter-len", "8"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    kind = "reference" if side == "refs" else "estimate"
+    assert "WAV sample rates differ" in err
+    assert "%s %s 16000 Hz" % (kind, odd) in err and "8000 Hz" in err
+    assert not (tmp_path / "scores.json").exists()
+
+
+@pytest.mark.parametrize("bad", [
+    "sample_rate 0", "fft_size 2", "fft_size 0", "io_channels 0", "merge_channels 0",
+    "final_dense layers=3 growth=0", "final_dense layers=-1 growth=12",
+    "band_edges_hz 4100 30000",
+])
+def test_inspect_rejects_bad_arch_numbers(capsys, tmp_path, bad):
+    # the default config with one line replaced
+    from stemsep.arch import default_arch
+
+    lines = default_arch().source_text.splitlines()
+    (i,) = [i for i, line in enumerate(lines) if line.split()[:1] == bad.split()[:1]]
+    lines[i] = bad
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert cli.main(["inspect", "--arch", str(cfg)]) == 4
+    assert "error (config)" in capsys.readouterr().err
 
 
 def test_config_echo(capsys, tmp_path):
@@ -197,7 +280,7 @@ def test_evaluate_window_or_hop_under_one_sample_exit_code(
         capsys, tmp_path, data_dir, flag, value, message):
     rc = cli.main(["evaluate", "--estimates", data_dir, "--references", data_dir,
                    "--out", str(tmp_path / "scores.json"), "--filter-len", "8",
-                   "--window", "1.0", "--sample-rate", "8000", flag, value])
+                   "--window", "1.0", flag, value])
     assert rc == 5
     assert "error (data): %s" % message in capsys.readouterr().err
 

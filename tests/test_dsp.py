@@ -23,7 +23,7 @@ def test_stft_sinusoid_peaks_at_its_bin():
     x = np.sin(2 * np.pi * k * t / n)
     spec = dsp.stft(dsp.AudioClip(x[None, :], sr), fft_size=n)
     mags = np.abs(spec.bins[0])
-    for frame in range(spec.num_frames - 4):  # skip zero-padded tail frames
+    for frame in range(spec.bins.shape[1] - 4):  # skip zero-padded tail frames
         assert np.argmax(mags[frame]) == k
 
 
@@ -43,7 +43,7 @@ def test_stft_shorter_than_window_is_padded():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((1, 1000))
     spec = dsp.stft(dsp.AudioClip(x), fft_size=4096)
-    assert spec.num_frames >= 1
+    assert spec.bins.shape[1] >= 1
     rec = dsp.istft(spec)
     assert rec.num_samples == 1000
 
@@ -73,8 +73,7 @@ def test_stft_linearity():
 
 def test_cola_constant_on_interior():
     n = 4096
-    hop = n // 4
-    profile = dsp.cola_profile(n, hop, frames=16)
+    profile = dsp.cola_profile(n, frames=16)
     interior = profile[n:-n]
     assert np.abs(interior - interior[0]).max() < 1e-10
 

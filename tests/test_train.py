@@ -107,18 +107,6 @@ def source_clips(rng, n=8000, sr=8000):
     }
 
 
-def test_augment_off_is_identity():
-    rng = np.random.default_rng(3)
-    clips = source_clips(rng)
-    mixture, out = augment(clips, seed=0, channel_swap=False, gain=False,
-                           offsets=False)
-    for name in clips:
-        np.testing.assert_array_equal(out[name].samples, clips[name].samples)
-    np.testing.assert_allclose(
-        mixture.samples, sum(c.samples for c in clips.values()), atol=1e-15
-    )
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_augment_mixture_is_sum_of_outputs(seed):
     rng = np.random.default_rng(4)
@@ -197,8 +185,7 @@ def test_list_tracks(toy_dir, tmp_path):
 
 def toy_config(**overrides):
     base = dict(source="vocals", frames_per_excerpt=16, excerpts_per_step=1,
-                steps_per_epoch=2, epochs=1, learning_rate=1e-3, seed=0,
-                fft_size=256)
+                steps_per_epoch=2, epochs=1, learning_rate=1e-3, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -221,8 +208,8 @@ def test_excerpt_is_normalized_and_shaped(toy_dir):
 def test_build_excerpts_deterministic(toy_dir):
     cfg = toy_config()
     tracks = list_tracks(toy_dir)
-    a = build_excerpts(tracks, cfg, np.random.default_rng(0))
-    b = build_excerpts(tracks, cfg, np.random.default_rng(0))
+    a = build_excerpts(tracks, cfg, np.random.default_rng(0), 256)
+    b = build_excerpts(tracks, cfg, np.random.default_rng(0), 256)
     for (ma, ta), (mb, tb) in zip(a, b):
         np.testing.assert_array_equal(ma, mb)
         np.testing.assert_array_equal(ta, tb)
