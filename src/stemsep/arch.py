@@ -24,35 +24,23 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class DenseBlockSpec:
-    layers: int
-    growth: int
-
-    def __post_init__(self):
-        if self.layers < 0 or self.growth < 1:
-            raise ConfigError("dense block needs layers >= 0 and growth >= 1")
-
-
-@dataclass(frozen=True)
-class LstmBlockSpec:
-    units: int
-
-    def __post_init__(self):
-        if self.units < 1:
-            raise ConfigError("LSTM block needs at least one unit")
-
-
-@dataclass(frozen=True)
 class ScaleSlot:
+    """One scale of a band: a dense block of `layers` layers at the
+    band's growth rate, a BiLSTM block of `units` units, or both."""
+
     position: str  # e.g. "d1", "u2"
-    dense: DenseBlockSpec | None = None
-    lstm: LstmBlockSpec | None = None
+    layers: int | None = None
+    units: int | None = None
 
     def __post_init__(self):
         if self.position[0] not in "du" or not self.position[1:].isdigit():
             raise ConfigError("bad slot position %r" % (self.position,))
-        if self.dense is None and self.lstm is None:
+        if self.layers is None and self.units is None:
             raise ConfigError("slot %s has neither dense nor LSTM block" % self.position)
+        if self.layers is not None and self.layers < 0:
+            raise ConfigError("slot %s: dense block needs layers >= 0" % self.position)
+        if self.units is not None and self.units < 1:
+            raise ConfigError("slot %s: LSTM block needs at least one unit" % self.position)
 
     @property
     def scale(self):
@@ -66,6 +54,9 @@ class BandPlan:
     slots: tuple
 
     def __post_init__(self):
+        if self.growth < 1:
+            raise ConfigError("band %s: growth must be at least 1, got %r"
+                              % (self.name, self.growth))
         down = [s for s in self.slots if s.position[0] == "d"]
         up = [s for s in self.slots if s.position[0] == "u"]
         if [s.scale for s in down] != list(range(1, len(down) + 1)):
@@ -90,12 +81,6 @@ class BandPlan:
     @property
     def pad_multiple(self):
         return 2 ** (self.depth - 1)
-
-    def slot(self, position):
-        for s in self.slots:
-            if s.position == position:
-                return s
-        raise KeyError("band %s has no slot %s" % (self.name, position))
 
 
 @dataclass(frozen=True)
@@ -179,10 +164,10 @@ def canonical_text(spec: ArchSpec) -> str:
         lines.append("band %s growth=%d" % (plan.name, plan.growth))
         for slot in plan.slots:
             parts = ["  " + slot.position]
-            if slot.dense is not None:
-                parts.append("l=%d" % slot.dense.layers)
-            if slot.lstm is not None:
-                parts.append("m=%d" % slot.lstm.units)
+            if slot.layers is not None:
+                parts.append("l=%d" % slot.layers)
+            if slot.units is not None:
+                parts.append("m=%d" % slot.units)
             lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -213,11 +198,9 @@ def parse_arch_text(text: str) -> ArchSpec:
                 if current is None:
                     raise ConfigError("slot line outside a band stanza")
                 kv = dict(t.split("=", 1) for t in tokens[1:])
-                dense = None
-                if "l" in kv:
-                    dense = DenseBlockSpec(layers=int(kv["l"]), growth=current[1])
-                lstm = LstmBlockSpec(units=int(kv["m"])) if "m" in kv else None
-                current[2].append(ScaleSlot(position=key, dense=dense, lstm=lstm))
+                layers = int(kv["l"]) if "l" in kv else None
+                units = int(kv["m"]) if "m" in kv else None
+                current[2].append(ScaleSlot(key, layers, units))
             elif key == "final_dense":
                 kv = dict(t.split("=", 1) for t in tokens[1:])
                 globals_["final_layers"] = int(kv["layers"])
@@ -279,17 +262,13 @@ def reduce_spec(spec: ArchSpec) -> ArchSpec:
         if len(down) > 1:
             dropped = down.pop()
             up = up[1:]
-            if dropped.lstm is not None and down[-1].lstm is None:
-                down[-1] = replace(down[-1], lstm=dropped.lstm)
+            if dropped.units is not None and down[-1].units is None:
+                down[-1] = replace(down[-1], units=dropped.units)
 
         def adjust(slot):
-            dense = None
-            if slot.dense is not None:
-                dense = DenseBlockSpec(layers=slot.dense.layers, growth=growth)
-            lstm = None
-            if slot.lstm is not None:
-                lstm = LstmBlockSpec(units=max(1, slot.lstm.units // 2))
-            return ScaleSlot(position=slot.position, dense=dense, lstm=lstm)
+            if slot.units is None:
+                return slot
+            return replace(slot, units=max(1, slot.units // 2))
 
         return BandPlan(plan.name, growth, tuple(adjust(s) for s in down + up))
 
@@ -304,33 +283,15 @@ def reduce_spec(spec: ArchSpec) -> ArchSpec:
 
 def toy_arch(fft_size=256, sample_rate=8000) -> ArchSpec:
     """A tiny three-band spec for fast structural and gradient tests."""
-    def band(name, growth, slots):
-        return BandPlan(name, growth, tuple(slots))
-
-    k = 3
     spec = ArchSpec(
         bands=(
-            band("1", k, [
-                ScaleSlot("d1", DenseBlockSpec(2, k)),
-                ScaleSlot("d2", DenseBlockSpec(2, k), LstmBlockSpec(4)),
-                ScaleSlot("u1", DenseBlockSpec(2, k)),
-            ]),
-            band("2", 2, [
-                ScaleSlot("d1", DenseBlockSpec(1, 2)),
-                ScaleSlot("d2", DenseBlockSpec(1, 2)),
-                ScaleSlot("u1", DenseBlockSpec(1, 2)),
-            ]),
-            band("3", 2, [
-                ScaleSlot("d1", DenseBlockSpec(1, 2)),
-                ScaleSlot("d2", None, LstmBlockSpec(3)),
-                ScaleSlot("u1", DenseBlockSpec(1, 2)),
-            ]),
+            BandPlan("1", 3, (ScaleSlot("d1", 2), ScaleSlot("d2", 2, 4), ScaleSlot("u1", 2))),
+            BandPlan("2", 2, (ScaleSlot("d1", 1), ScaleSlot("d2", 1), ScaleSlot("u1", 1))),
+            BandPlan("3", 2, (ScaleSlot("d1", 1), ScaleSlot("d2", units=3), ScaleSlot("u1", 1))),
         ),
-        full_band=band("full", 2, [
-            ScaleSlot("d1", DenseBlockSpec(1, 2)),
-            ScaleSlot("d2", DenseBlockSpec(2, 2), LstmBlockSpec(4)),
-            ScaleSlot("u1", DenseBlockSpec(1, 2)),
-        ]),
+        full_band=BandPlan(
+            "full", 2, (ScaleSlot("d1", 1), ScaleSlot("d2", 2, 4), ScaleSlot("u1", 1))
+        ),
         mode="Sa",
         final_layers=2,
         final_growth=3,
@@ -353,15 +314,15 @@ def _plan_receptive_field(plan: BandPlan, stem=True):
         rf += 2 * jump  # 3x3 stem conv
     down = plan.down_slots
     for i, slot in enumerate(down):
-        if slot.dense is not None:
-            rf += 2 * slot.dense.layers * jump
+        if slot.layers:
+            rf += 2 * slot.layers * jump
         if i < len(down) - 1:
             rf += jump  # 2x2 average pool
             jump *= 2
     for slot in plan.up_slots:
         jump //= 2  # non-overlapping stride-2 upsampler adds no context
-        if slot.dense is not None:
-            rf += 2 * slot.dense.layers * jump
+        if slot.layers:
+            rf += 2 * slot.layers * jump
     return rf
 
 
@@ -377,7 +338,7 @@ def receptive_field(spec: ArchSpec):
     for plan in spec.all_plans():
         per_band[plan.name] = {
             "conv_frames": _plan_receptive_field(plan) + final,
-            "has_lstm": any(s.lstm is not None for s in plan.slots),
+            "has_lstm": any(s.units is not None for s in plan.slots),
         }
     overall = max(b["conv_frames"] for b in per_band.values())
     return {"per_band": per_band, "overall_conv_frames": overall}

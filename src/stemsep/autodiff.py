@@ -68,11 +68,6 @@ class GraphError(RuntimeError):
 
 _grad_enabled = True
 
-# Cheap finiteness guard on the outputs of conv2d and sigmoid (and the
-# LSTM cell state). BN and ReLU are not checked themselves: they
-# propagate NaN/inf into the next conv2d, whose check raises.
-finite_checks = True
-
 
 @contextlib.contextmanager
 def no_grad():
@@ -202,7 +197,10 @@ def _make(data, parents, backward):
 
 
 def _check_finite(arr, where):
-    if finite_checks and not np.all(np.isfinite(arr)):
+    """Finiteness guard on the outputs of conv2d and sigmoid (BiLSTM
+    checks its cell state too). BN and ReLU are not checked themselves:
+    they propagate NaN/inf into the next conv2d, whose check raises."""
+    if not np.all(np.isfinite(arr)):
         raise NumericError("non-finite values in output of %s" % where)
 
 

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import arch as arch_mod
 from . import evaluation, train as train_mod
 from .arch import ConfigError
-from .dsp import InputError, read_wav, stft, write_wav
+from .dsp import InputError, read_wav, stft, warn_if_unexpected_rate, write_wav
 from .model import (
     CheckpointError,
     build_model,
@@ -26,6 +26,10 @@ from .model import (
 )
 from .separation import SOURCE_NAMES, SeparationError, normalize_magnitude, separate_track
 from .train import TrainConfig, TrainError, make_toy_dataset
+
+
+class UsageError(Exception):
+    """Flags that cannot be used as given."""
 
 
 def _echo_config(args):
@@ -168,6 +172,9 @@ def cmd_evaluate(args):
 
 
 def cmd_inspect(args):
+    if (args.input is None) != (args.slot is None):
+        given, missing = ("input", "slot") if args.slot is None else ("slot", "input")
+        raise UsageError("--%s needs --%s" % (given, missing))
     if args.checkpoint:
         model = load_checkpoint_model(args.checkpoint)
     else:
@@ -184,8 +191,9 @@ def cmd_inspect(args):
         suffix = "  (plus whole-input LSTM context)" if info["has_lstm"] else ""
         print("  %-8s %4d%s" % (band, info["conv_frames"], suffix))
     print("  overall  %4d" % rf["overall_conv_frames"])
-    if args.input and args.slot:
+    if args.input is not None:
         clip = read_wav(args.input)
+        warn_if_unexpected_rate(clip, expected=spec.sample_rate)
         mag, _ = normalize_magnitude(stft(clip, fft_size=spec.fft_size).magnitude())
         model.set_training(False)  # BN reads the loaded running statistics, unchanged
         norms, lstm_channel = feature_map_norms(model, mag, args.slot)
@@ -274,6 +282,7 @@ def build_parser():
 
 
 _ERROR_CODES = (
+    ((UsageError,), "usage", 2),
     ((FileNotFoundError, NotADirectoryError, InputError), "input", 3),
     ((ConfigError, CheckpointError, TrainError), "config", 4),
     ((SeparationError, evaluation.EvalError, KeyError, ValueError,

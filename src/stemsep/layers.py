@@ -191,7 +191,7 @@ class BiLSTM(Module):
             g = ad.tanh(z[:, 2 * m:3 * m])
             o = ad.sigmoid(z[:, 3 * m:4 * m])
             c = ad.add(ad.mul(f, c), ad.mul(i, g))
-            if ad.finite_checks and not np.all(np.isfinite(c.data)):
+            if not np.all(np.isfinite(c.data)):
                 raise ad.NumericError("non-finite LSTM cell state at step %d" % t)
             h = ad.mul(o, ad.tanh(c))
             outputs[t] = h

@@ -123,75 +123,33 @@ class LstmBlock(Module):
 
 class Slot(Module):
     """One scale position: dense block and/or LSTM block combined per
-    the configured mode."""
+    the configured mode, the dense block at the band's growth rate.
 
-    def __init__(self, spec_slot: ScaleSlot, mode, c_in, freq_dim, rng):
+    The LSTM map is the slot's last output channel unless an Sb dense
+    block consumes it.
+    """
+
+    def __init__(self, spec_slot: ScaleSlot, mode, c_in, freq_dim, growth, rng):
         super().__init__()
         self.position = spec_slot.position
         self.mode = mode
         self.c_in = c_in
-        dense_spec, lstm_spec = spec_slot.dense, spec_slot.lstm
-
-        lstm_in = c_in
-        if dense_spec is not None:
-            if mode == "Sa":
-                self.dense = self.add_child(
-                    "dense", DenseBlock(c_in, dense_spec.layers, dense_spec.growth, rng)
-                )
-                lstm_in = self.dense.out_channels
-            elif mode == "Sb":
-                c_dense_in = c_in + (1 if lstm_spec is not None else 0)
-                self.dense = self.add_child(
-                    "dense",
-                    DenseBlock(c_dense_in, dense_spec.layers, dense_spec.growth, rng),
-                )
-            else:  # P
-                self.dense = self.add_child(
-                    "dense", DenseBlock(c_in, dense_spec.layers, dense_spec.growth, rng)
-                )
-        else:
-            self.dense = None
-
-        if lstm_spec is not None:
+        has_lstm = spec_slot.units is not None
+        self.dense = self.lstm = None
+        if spec_slot.layers is not None:
+            dense_in = c_in + (mode == "Sb" and has_lstm)
+            self.dense = self.add_child(
+                "dense", DenseBlock(dense_in, spec_slot.layers, growth, rng)
+            )
+        if has_lstm:
+            lstm_in = self.dense.out_channels if self.dense and mode == "Sa" else c_in
             self.lstm = self.add_child(
-                "lstm", LstmBlock(lstm_in, freq_dim, lstm_spec.units, rng)
+                "lstm", LstmBlock(lstm_in, freq_dim, spec_slot.units, rng)
             )
-        else:
-            self.lstm = None
-
-        # output channel arithmetic + which output channel is the LSTM map
-        self.lstm_channel = None
-        if mode == "Sa":
-            base = self.dense.out_channels if self.dense else c_in
-            self.out_channels = base + (1 if self.lstm else 0)
-            if self.lstm:
-                self.lstm_channel = self.out_channels - 1
-        elif mode == "Sb":
-            if self.dense:
-                self.out_channels = self.dense.out_channels
-            else:
-                self.out_channels = c_in + (1 if self.lstm else 0)
-                if self.lstm:
-                    self.lstm_channel = self.out_channels - 1
-        else:  # P
-            self.out_channels = (self.dense.out_channels if self.dense else 0) + (
-                1 if self.lstm else 0
-            )
-            if self.lstm:
-                self.lstm_channel = self.out_channels - 1
-
-    def wiring(self):
-        dense_desc = None
-        if self.dense is not None:
-            dense_desc = "dense(l=%d,k=%d)" % (self.dense.layers, self.dense.growth)
-        lstm_desc = "lstm(m=%d)" % self.lstm.units if self.lstm is not None else None
-        if dense_desc and lstm_desc:
-            if self.mode == "Sa":
-                return "%s->%s" % (dense_desc, lstm_desc)
-            if self.mode == "Sb":
-                return "%s->%s" % (lstm_desc, dense_desc)
-            return "parallel[%s|%s]" % (dense_desc, lstm_desc)
-        return dense_desc or lstm_desc
+        map_out = has_lstm and not (self.dense and mode == "Sb")
+        base = self.dense.out_channels if self.dense else (0 if mode == "P" else c_in)
+        self.out_channels = base + map_out
+        self.lstm_channel = self.out_channels - 1 if map_out else None
 
     def forward(self, x):
         if self.mode == "Sa":
@@ -231,7 +189,7 @@ class BandNet(Module):
         for slot_spec in plan.down_slots:
             f_s = freq_bins // (2 ** (slot_spec.scale - 1))
             slot = self.add_child(
-                slot_spec.position, Slot(slot_spec, mode, c, f_s, rng)
+                slot_spec.position, Slot(slot_spec, mode, c, f_s, plan.growth, rng)
             )
             c = slot.out_channels
             self.down_channels.append(c)
@@ -241,7 +199,7 @@ class BandNet(Module):
             up = self.add_child("up%d" % s, ConvTranspose2x2(c, c, rng))
             c = up.c_out + self.down_channels[s - 1]
             slot = self.add_child(
-                slot_spec.position, Slot(slot_spec, mode, c, f_s, rng)
+                slot_spec.position, Slot(slot_spec, mode, c, f_s, plan.growth, rng)
             )
             c = slot.out_channels
         self.out_channels = c
@@ -266,29 +224,18 @@ class BandNet(Module):
             y = self._children[slot_spec.position](y)
         return y
 
-    def wiring(self):
-        return {
-            s.position: self._children[s.position].wiring() for s in self.plan.slots
-        }
-
 
 def _pad_axis(x, axis, target):
-    """Pad up to `target` along axis by reflection (edge when too short)."""
+    """Pad up to `target` along axis by reflection (a single sample
+    repeats)."""
     need = target - x.shape[axis]
     if need < 0:
         raise ad.ShapeError("cannot pad axis %d of %r down to %d" % (axis, x.shape, target))
-    while need > 0:
-        size = x.shape[axis]
-        if size == 1:
-            width = [(0, 0)] * x.ndim
-            width[axis] = (0, need)
-            return np.pad(x, width, mode="edge")
-        step = min(need, size - 1)
-        width = [(0, 0)] * x.ndim
-        width[axis] = (0, step)
-        x = np.pad(x, width, mode="reflect")
-        need -= step
-    return x
+    if need == 0:
+        return x  # np.pad copies a non-contiguous input even with zero width
+    width = [(0, 0)] * x.ndim
+    width[axis] = (0, need)
+    return np.pad(x, width, mode="reflect")
 
 
 class SeparationModel(Module):
@@ -375,11 +322,6 @@ class SeparationModel(Module):
         if t_pad != t:
             y = y[:, :, :t]
         return y
-
-    def wiring(self):
-        d = {net.plan.name: net.wiring() for net in self.band_nets}
-        d["full"] = self.full_net.wiring()
-        return d
 
 
 def build_model(spec: ArchSpec, seed=0) -> SeparationModel:
@@ -501,33 +443,24 @@ def load_checkpoint(path, model: SeparationModel):
         raise CheckpointError(
             "%s: checkpoint architecture hash does not match this model" % path
         )
-    params = dict(model.named_params())
-    buffer_owners = {}
-
-    def find_buffer(module, prefix=""):
-        for bname in module._buffers:
-            buffer_owners[prefix + bname] = (module, bname)
-        for cname, child in module._children.items():
-            find_buffer(child, prefix + cname + ".")
-
-    find_buffer(model)
+    targets = {("param", n): p for n, p in model.named_params()}
+    targets.update((("buffer", n), b) for n, b in model.named_buffers())
     with open(path, "rb") as fh:
         fh.seek(payload_start)
         payload = fh.read()
     for entry in header["entries"]:
+        kind, name = entry["kind"], entry["name"]
+        if (kind, name) not in targets:
+            raise CheckpointError("unknown %s %r" % (kind, name))
+        target = targets[kind, name]
+        if tuple(target.shape) != tuple(entry["shape"]):
+            raise CheckpointError("shape mismatch for %r" % name)
         raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
         arr = np.frombuffer(raw, dtype=_DTYPE_TAGS[entry["dtype"]]).reshape(entry["shape"])
-        arr = arr.astype(entry["dtype"])
-        if entry["kind"] == "param":
-            if entry["name"] not in params:
-                raise CheckpointError("unknown parameter %r" % entry["name"])
-            target = params[entry["name"]]
-            if tuple(target.shape) != tuple(entry["shape"]):
-                raise CheckpointError("shape mismatch for %r" % entry["name"])
-            target.data = arr
+        if kind == "param":
+            target.data = arr.astype(entry["dtype"])
         else:
-            module, bname = buffer_owners[entry["name"]]
-            module._buffers[bname] = arr
+            target[...] = arr  # a buffer keeps its array: BN updates it in place
     return header
 
 

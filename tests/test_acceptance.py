@@ -18,8 +18,6 @@ from closed_forms import lstm_block_param_count
 from stemsep import arch, dsp, evaluation
 from stemsep.arch import (
     BandPlan,
-    DenseBlockSpec,
-    LstmBlockSpec,
     ScaleSlot,
     default_arch,
     receptive_field,
@@ -43,6 +41,7 @@ from stemsep.train import (
     train,
     train_step,
 )
+from structure import slot_wiring
 
 PUBLISHED_PARAM_TOTAL = 1.22e6
 PUBLISHED_CONTEXT_FRAMES = 356
@@ -285,17 +284,9 @@ def test_criterion_4_lstm_totals_are_closed_form(default_model):
 
 
 def test_criterion_5_receptive_field():
-    single = BandPlan("x", 3, (ScaleSlot("d1", DenseBlockSpec(1, 3)),))
-    two_scale = BandPlan("x", 3, (
-        ScaleSlot("d1", DenseBlockSpec(3, 3)),
-        ScaleSlot("d2", DenseBlockSpec(3, 3)),
-        ScaleSlot("u1", DenseBlockSpec(3, 3)),
-    ))
-    with_stem = BandPlan("x", 3, (
-        ScaleSlot("d1", DenseBlockSpec(2, 3)),
-        ScaleSlot("d2", DenseBlockSpec(2, 3)),
-        ScaleSlot("u1", DenseBlockSpec(2, 3)),
-    ))
+    single = BandPlan("x", 3, (ScaleSlot("d1", 1),))
+    two_scale = BandPlan("x", 3, (ScaleSlot("d1", 3), ScaleSlot("d2", 3), ScaleSlot("u1", 3)))
+    with_stem = BandPlan("x", 3, (ScaleSlot("d1", 2), ScaleSlot("d2", 2), ScaleSlot("u1", 2)))
     hand_ok = (
         arch._plan_receptive_field(single, stem=False) == 3
         and arch._plan_receptive_field(two_scale, stem=False) == 26
@@ -474,9 +465,9 @@ def test_criterion_9_structure(default_model):
     from stemsep.model import Slot
 
     rng = np.random.default_rng(9)
-    slot_spec = ScaleSlot("d1", DenseBlockSpec(2, 3), LstmBlockSpec(4))
+    slot_spec = ScaleSlot("d1", 2, 4)
     wirings = {
-        mode: Slot(slot_spec, mode, 5, 16, rng).wiring() for mode in ("Sa", "Sb", "P")
+        mode: slot_wiring(Slot(slot_spec, mode, 5, 16, 3, rng)) for mode in ("Sa", "Sb", "P")
     }
     sa_ok = wirings["Sa"].index("dense") < wirings["Sa"].index("lstm")
     sb_ok = wirings["Sb"].index("lstm") < wirings["Sb"].index("dense")

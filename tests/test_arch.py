@@ -6,8 +6,6 @@ from stemsep.arch import (
     ArchSpec,
     BandPlan,
     ConfigError,
-    DenseBlockSpec,
-    LstmBlockSpec,
     ScaleSlot,
     canonical_text,
     default_arch,
@@ -16,6 +14,7 @@ from stemsep.arch import (
     reduce_spec,
     toy_arch,
 )
+from structure import plan_slot
 
 
 def test_default_arch_matches_shipped_table():
@@ -26,16 +25,15 @@ def test_default_arch_matches_shipped_table():
     assert spec.full_band.growth == 7
     band1 = spec.bands[0]
     assert [s.position for s in band1.slots] == ["d1", "d2", "d3", "d4", "u3", "u2", "u1"]
-    assert band1.slot("d4").lstm == LstmBlockSpec(128)
-    assert band1.slot("u2").lstm == LstmBlockSpec(128)
-    assert band1.slot("d1").dense == DenseBlockSpec(5, 14)
+    assert plan_slot(band1, "d4") == ScaleSlot("d4", 5, 128)
+    assert plan_slot(band1, "u2") == ScaleSlot("u2", 5, 128)
+    assert plan_slot(band1, "d1") == ScaleSlot("d1", 5)
     # band 3 bottleneck is LSTM-only
-    b3 = spec.bands[2].slot("d3")
-    assert b3.dense is None and b3.lstm == LstmBlockSpec(8)
+    assert plan_slot(spec.bands[2], "d3") == ScaleSlot("d3", units=8)
     full = spec.full_band
-    assert [s.dense.layers for s in full.down_slots] == [3, 3, 4, 5, 5]
-    assert full.slot("d4").lstm == LstmBlockSpec(128)
-    assert full.slot("u2").lstm == LstmBlockSpec(128)
+    assert [s.layers for s in full.down_slots] == [3, 3, 4, 5, 5]
+    assert plan_slot(full, "d4").units == 128
+    assert plan_slot(full, "u2").units == 128
     assert spec.final_layers == 3 and spec.final_growth == 12
 
 
@@ -73,11 +71,13 @@ def test_slot_validation():
     with pytest.raises(ConfigError):
         ScaleSlot("d1")  # neither block
     with pytest.raises(ConfigError):
-        DenseBlockSpec(layers=-1, growth=2)
+        ScaleSlot("d1", layers=-1)
     with pytest.raises(ConfigError):
-        LstmBlockSpec(units=0)
+        ScaleSlot("d1", units=0)
     with pytest.raises(ConfigError):
-        BandPlan("x", 2, (ScaleSlot("d2", DenseBlockSpec(1, 2)),))  # no d1
+        BandPlan("x", 2, (ScaleSlot("d2", 1),))  # no d1
+    with pytest.raises(ConfigError):
+        BandPlan("x", 0, (ScaleSlot("d1", units=2),))  # the stem needs growth >= 1
 
 
 def test_reduce_spec_halves_and_shallows():
@@ -88,8 +88,8 @@ def test_reduce_spec_halves_and_shallows():
     assert red.bands[0].depth == spec.bands[0].depth - 1
     assert red.full_band.depth == 4
     # the dropped bottleneck LSTM migrates to the new bottleneck
-    assert red.full_band.slot("d4").lstm is not None
-    assert red.bands[0].slot("d3").lstm == LstmBlockSpec(64)
+    assert plan_slot(red.full_band, "d4").units is not None
+    assert plan_slot(red.bands[0], "d3").units == 64
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +101,7 @@ def plan(slots):
 
 
 def test_receptive_field_single_conv():
-    p = plan([ScaleSlot("d1", DenseBlockSpec(1, 3))])
+    p = plan([ScaleSlot("d1", 1)])
     # one 3x3 conv sees 3 frames
     assert arch._plan_receptive_field(p, stem=False) == 3
 
@@ -110,22 +110,14 @@ def test_receptive_field_two_scale_hand_value():
     # hand derivation: 3 convs at scale 1 -> 7; pool -> 8 (jump 2);
     # 3 convs at scale 2 -> 8 + 3*2*2 = 20; upsample adds nothing;
     # 3 convs back at scale 1 -> 26
-    p = plan([
-        ScaleSlot("d1", DenseBlockSpec(3, 3)),
-        ScaleSlot("d2", DenseBlockSpec(3, 3)),
-        ScaleSlot("u1", DenseBlockSpec(3, 3)),
-    ])
+    p = plan([ScaleSlot("d1", 3), ScaleSlot("d2", 3), ScaleSlot("u1", 3)])
     assert arch._plan_receptive_field(p, stem=False) == 26
 
 
 def test_receptive_field_with_stem_hand_value():
     # stem conv: 1 + 2 = 3; two convs -> 7; pool -> 8 (jump 2);
     # two convs at scale 2 -> 16; upsample; two convs -> 20
-    p = plan([
-        ScaleSlot("d1", DenseBlockSpec(2, 3)),
-        ScaleSlot("d2", DenseBlockSpec(2, 3)),
-        ScaleSlot("u1", DenseBlockSpec(2, 3)),
-    ])
+    p = plan([ScaleSlot("d1", 2), ScaleSlot("d2", 2), ScaleSlot("u1", 2)])
     assert arch._plan_receptive_field(p, stem=True) == 20
 
 

@@ -186,6 +186,38 @@ def test_inspect_feature_norms_ignore_input_level(capsys, tmp_path, trained_ckpt
     assert printed[0] == printed[1]
 
 
+@pytest.mark.parametrize("given,missing", [("input", "slot"), ("slot", "input")])
+def test_inspect_needs_input_and_slot_together(capsys, trained_ckpt, data_dir, given, missing):
+    value = {"input": os.path.join(data_dir, "track00", "mixture.wav"), "slot": "band1/d1"}
+    rc = cli.main(["inspect", "--checkpoint", trained_ckpt, "--" + given, value[given]])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error (usage): --%s needs --%s" % (given, missing) in captured.err
+    assert "total parameters" not in captured.out
+
+
+def test_inspect_warns_on_unexpected_rate(tmp_path, trained_ckpt, data_dir):
+    clip = read_wav(os.path.join(data_dir, "track00", "mixture.wav"))
+    wav = tmp_path / "relabelled.wav"
+    write_wav(str(wav), AudioClip(clip.samples, 44100))
+    with pytest.warns(UserWarning, match="44100 Hz differs from the 8000 Hz"):
+        rc = cli.main(["inspect", "--checkpoint", trained_ckpt, "--input", str(wav),
+                       "--slot", "band1/d1"])
+    assert rc == 0
+
+
+def test_inspect_rejects_zero_growth_lstm_only_band(capsys, tmp_path):
+    # growth 0 gives the band a stem conv with no output channels
+    toy = canonical_text(toy_arch())
+    text = toy.replace("band 3 growth=2\n  d1 l=1\n  d2 m=3\n  u1 l=1\n",
+                       "band 3 growth=0\n  d1 m=2\n  d2 m=3\n  u1 m=2\n")
+    assert text != toy
+    cfg = tmp_path / "growth0.cfg"
+    cfg.write_text(text)
+    assert cli.main(["inspect", "--arch", str(cfg)]) == 4
+    assert "error (config): band 3: growth must be at least 1, got 0" in capsys.readouterr().err
+
+
 def _copy_track(src_dir, out_dir, names, rates=None):
     os.makedirs(out_dir)
     for name in names:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -7,25 +10,20 @@ from stemsep import model as mdl
 from stemsep.arch import (
     ArchSpec,
     BandPlan,
-    DenseBlockSpec,
-    LstmBlockSpec,
     ScaleSlot,
     canonical_text,
     default_arch,
+    reduce_spec,
     toy_arch,
 )
 from stemsep.model import BandNet, DenseBlock, LstmBlock, SeparationModel, Slot
+from structure import model_wiring, slot_wiring
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
 
 def make_slot(position, mode, c_in, f, layers=None, growth=3, units=None, seed=0):
-    spec_slot = ScaleSlot(
-        position,
-        DenseBlockSpec(layers, growth) if layers is not None else None,
-        LstmBlockSpec(units) if units is not None else None,
-    )
-    return Slot(spec_slot, mode, c_in, f, RNG(seed))
+    return Slot(ScaleSlot(position, layers, units), mode, c_in, f, growth, RNG(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +146,7 @@ def test_sa_slot_concat_leaves_other_channels_untouched():
 
 def test_sa_without_lstm_is_dense_only():
     slot = make_slot("d1", "Sa", 2, 8, layers=2)
-    assert slot.wiring() == "dense(l=2,k=3)"
+    assert slot_wiring(slot) == "dense(l=2,k=3)"
     assert slot.out_channels == 6
     assert slot.lstm_channel is None
 
@@ -156,7 +154,7 @@ def test_sa_without_lstm_is_dense_only():
 def test_p_mode_output_channels():
     slot = make_slot("d1", "P", 2, 8, layers=2, units=4)
     assert slot.out_channels == 7  # dense 6 + lstm map
-    assert slot.wiring() == "parallel[dense(l=2,k=3)|lstm(m=4)]"
+    assert slot_wiring(slot) == "parallel[dense(l=2,k=3)|lstm(m=4)]"
     x = ad.constant(RNG(5).standard_normal((2, 8, 4)))
     assert slot(x).shape == (7, 8, 4)
 
@@ -173,7 +171,7 @@ def test_sb_lstm_only_slot():
 
 def test_sb_dense_consumes_lstm_map():
     slot = make_slot("d1", "Sb", 2, 8, layers=2, units=4)
-    assert slot.wiring() == "lstm(m=4)->dense(l=2,k=3)"
+    assert slot_wiring(slot) == "lstm(m=4)->dense(l=2,k=3)"
     assert slot.dense.c_in == 3
     assert slot.out_channels == 6
 
@@ -184,7 +182,7 @@ def test_mode_wiring_structural_diff():
         spec = toy_arch()
         spec = type(spec)(**{**spec.__dict__, "mode": mode, "source_text": ""})
         m = SeparationModel(spec, seed=7)
-        wirings[mode] = m.wiring()
+        wirings[mode] = model_wiring(m)
     # LSTM-free slots agree everywhere; LSTM-bearing slots differ as documented
     assert wirings["Sa"]["1"]["d1"] == wirings["Sb"]["1"]["d1"] == wirings["P"]["1"]["d1"]
     assert wirings["Sa"]["1"]["d2"] == "dense(l=2,k=3)->lstm(m=4)"
@@ -217,11 +215,11 @@ def test_all_modes_build_and_differentiate(mode):
 
 def toy_band_plan():
     return BandPlan("t", 3, (
-        ScaleSlot("d1", DenseBlockSpec(2, 3)),
-        ScaleSlot("d2", DenseBlockSpec(2, 3)),
-        ScaleSlot("d3", DenseBlockSpec(2, 3)),
-        ScaleSlot("u2", DenseBlockSpec(2, 3)),
-        ScaleSlot("u1", DenseBlockSpec(2, 3)),
+        ScaleSlot("d1", 2),
+        ScaleSlot("d2", 2),
+        ScaleSlot("d3", 2),
+        ScaleSlot("u2", 2),
+        ScaleSlot("u1", 2),
     ))
 
 
@@ -245,6 +243,36 @@ def test_band_net_rejects_wrong_bins():
 
 # ---------------------------------------------------------------------------
 # full model
+
+
+def pad_axis_reference(x, axis, target):
+    """The loop _pad_axis replaced: reflect at most size - 1 samples at a
+    time, and repeat a single sample."""
+    need = target - x.shape[axis]
+    while need > 0:
+        size = x.shape[axis]
+        width = [(0, 0)] * x.ndim
+        if size == 1:
+            width[axis] = (0, need)
+            return np.pad(x, width, mode="edge")
+        step = min(need, size - 1)
+        width[axis] = (0, step)
+        x = np.pad(x, width, mode="reflect")
+        need -= step
+    return x
+
+
+def test_pad_axis_matches_reflect_loop():
+    rng = RNG(32)
+    for size in range(1, 12):
+        for axis in range(3):
+            shape = [3, 4, 5]
+            shape[axis] = size
+            x = rng.standard_normal(shape)
+            assert mdl._pad_axis(x, axis, size) is x
+            for need in range(40):
+                np.testing.assert_array_equal(mdl._pad_axis(x, axis, size + need),
+                                              pad_axis_reference(x, axis, size + need))
 
 
 def test_forward_shape_round_trip_various_lengths():
@@ -335,12 +363,12 @@ def test_lstm_module_totals_match_closed_form():
         (spec.full_band, m.full_net)
     ]:
         for slot_spec in plan.slots:
-            if slot_spec.lstm is None:
+            if slot_spec.units is None:
                 continue
             slot = net._children[slot_spec.position]
             f_s = net.freq_bins // (2 ** (slot_spec.scale - 1))
             expected += lstm_block_param_count(
-                slot.lstm.reduce.c_in, f_s, slot_spec.lstm.units
+                slot.lstm.reduce.c_in, f_s, slot_spec.units
             )
     assert actual == expected > 0
 
@@ -413,6 +441,54 @@ def test_checkpoint_rejects_wrong_arch(tmp_path):
     other = SeparationModel(other_spec, seed=29)
     with pytest.raises(mdl.CheckpointError):
         mdl.load_checkpoint(path, other)
+
+
+def _edit_checkpoint_entry(path, entry_name, changes):
+    header, payload_start = mdl.read_checkpoint_header(path)
+    payload = path.read_bytes()[payload_start:]
+    (entry,) = [e for e in header["entries"] if e["name"] == entry_name]
+    entry.update(changes)
+    hdr = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(mdl.CHECKPOINT_MAGIC + len(hdr).to_bytes(8, "little") + hdr + payload)
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"name": "band1.d1.dense.layer0.bn.running_nope"}, "unknown buffer"),
+    ({"shape": [1, 3]}, "shape mismatch"),
+], ids=["unknown-name", "wrong-shape"])
+def test_checkpoint_checks_buffers_like_params(tmp_path, changes, message):
+    path = tmp_path / "m.ckpt"
+    mdl.save_checkpoint(path, SeparationModel(toy_arch(), seed=32))
+    _edit_checkpoint_entry(path, "band1.d1.dense.layer0.bn.running_mean", changes)
+    with pytest.raises(mdl.CheckpointError, match=message):
+        mdl.load_checkpoint_model(path)
+
+
+# spec -> (content_hash, sha256 of the (name, shape) layout of parameters
+# then buffers, count_params); a change here orphans existing checkpoints
+PINNED_LAYOUTS = {
+    "default": ("795ef9e5449e37a0af9ffd19114e326e4806a1aa90233436a8f8af4bcba413ab",
+                "a664eebaed80e331d646d67740817f4564bd9bf253dfa43b6dea1493a7c6e8ea",
+                3320411),
+    "toy": ("3204276e62cb45f33cbf49f413de032a6244bff579450876b286b06454de1b75",
+            "3718d5381af475dc8ff952fa87fa96a583ebf25d68346db63b00de9890fdcced",
+            7775),
+    "reduced2": ("58d01b55159b29ac302e1cf180b3259e387c1a4bce5703a4f2ed216b28c4afca",
+                 "38328cacbbea0ad60df4e2027bea7e3bac9b99fc8a84ab61cbbd7e7a9cbc0e01",
+                 649793),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LAYOUTS))
+def test_checkpoint_layout_is_pinned(name):
+    spec = {"default": default_arch, "toy": toy_arch,
+            "reduced2": lambda: reduce_spec(reduce_spec(default_arch()))}[name]()
+    m = SeparationModel(spec)
+    layout = json.dumps([[n, list(p.shape)] for n, p in m.named_params()]
+                        + [[n, list(b.shape)] for n, b in m.named_buffers()])
+    got = (spec.content_hash(), hashlib.sha256(layout.encode()).hexdigest(),
+           mdl.count_params(m)[0])
+    assert got == PINNED_LAYOUTS[name]
 
 
 def test_checkpoint_model_reconstruction(tmp_path):
