@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.resources
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .dsp import BandLayout, InputError
 
@@ -95,11 +95,13 @@ class ArchSpec:
     sample_rate: int = 44100
     band_edges_hz: tuple = (4100, 11000)
     merge_channels: int = 8
-    source_text: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.mode not in VALID_MODES:
             raise ConfigError("combination mode must be one of %r" % (VALID_MODES,))
+        names = [b.name for b in self.all_plans()]
+        if names[-1] != "full" or len(set(names)) < len(names):
+            raise ConfigError("band names must be distinct, with 'full' only last: %r" % names)
         # fft_size 4 is the least with a nonzero hop
         for key, low in (("fft_size", 4), ("sample_rate", 1), ("io_channels", 1),
                          ("merge_channels", 1), ("final_growth", 1), ("final_layers", 0)):
@@ -111,6 +113,9 @@ class ArchSpec:
                 "%d band edges cannot partition the spectrum into %d bands"
                 % (len(self.band_edges_hz), len(self.bands))
             )
+        if any(float("%g" % e) != e for e in self.band_edges_hz):  # as canonical_text writes
+            raise ConfigError("band edges need at most 6 significant digits, got %r"
+                              % (self.band_edges_hz,))
         try:
             self.band_layout()
         except InputError as exc:
@@ -140,6 +145,11 @@ class ArchSpec:
             width = hi - lo
         m = plan.pad_multiple
         return ((width + m - 1) // m) * m
+
+    @property
+    def source_text(self):
+        """The config text of this spec: derived, so it cannot go stale."""
+        return canonical_text(self)
 
     def content_hash(self):
         return hashlib.sha256(canonical_text(self).encode()).hexdigest()
@@ -172,9 +182,21 @@ def canonical_text(spec: ArchSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _key_values(tokens, keys):
+    """k=v tokens as {k: int(v)}, each k one of `keys` and given once."""
+    kv = {}
+    for token in tokens:
+        key, value = token.split("=", 1)
+        if key not in keys or key in kv:
+            raise ConfigError("%s key %r" % ("repeated" if key in kv else "unknown", key))
+        kv[key] = int(value)
+    return kv
+
+
 def parse_arch_text(text: str) -> ArchSpec:
     globals_ = {}
     plans = []
+    given = set()  # global keys and "band NAME"s: each may appear once
     current = None  # (name, growth, [slots])
 
     def finish():
@@ -188,44 +210,42 @@ def parse_arch_text(text: str) -> ArchSpec:
             continue
         tokens = line.split()
         key = tokens[0]
+        if key == "band":
+            finish()  # errors in the finished band name the band, not this line
         try:
-            if key == "band":
-                finish()
-                name = tokens[1]
-                kv = dict(t.split("=", 1) for t in tokens[2:])
-                current = (name, int(kv["growth"]), [])
-            elif key[0] in "du" and key[1:].isdigit():
+            if key[0] in "du" and key[1:].isdigit():
                 if current is None:
                     raise ConfigError("slot line outside a band stanza")
-                kv = dict(t.split("=", 1) for t in tokens[1:])
-                layers = int(kv["l"]) if "l" in kv else None
-                units = int(kv["m"]) if "m" in kv else None
-                current[2].append(ScaleSlot(key, layers, units))
+                kv = _key_values(tokens[1:], ("l", "m"))
+                current[2].append(ScaleSlot(key, kv.get("l"), kv.get("m")))
+                continue
+            once = " ".join(tokens[:2]) if key == "band" else key
+            if once in given:
+                raise ConfigError("%s given twice" % once)
+            given.add(once)
+            if key == "band":
+                current = (tokens[1], _key_values(tokens[2:], ("growth",))["growth"], [])
             elif key == "final_dense":
-                kv = dict(t.split("=", 1) for t in tokens[1:])
-                globals_["final_layers"] = int(kv["layers"])
-                globals_["final_growth"] = int(kv["growth"])
+                kv = _key_values(tokens[1:], ("layers", "growth"))
+                globals_["final_layers"] = kv["layers"]
+                globals_["final_growth"] = kv["growth"]
             elif key == "band_edges_hz":
                 globals_["band_edges_hz"] = tuple(float(t) for t in tokens[1:])
-            elif key == "mode":
-                globals_["mode"] = tokens[1]
-            elif key in ("fft_size", "sample_rate", "io_channels", "merge_channels"):
-                globals_[key] = int(tokens[1])
+            elif key in ("mode", "fft_size", "sample_rate", "io_channels", "merge_channels"):
+                (value,) = tokens[1:]
+                globals_[key] = value if key == "mode" else int(value)
             else:
                 raise ConfigError("unknown key %r" % key)
         except (IndexError, KeyError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError("line %d: cannot parse %r (%s)" % (lineno, raw, exc))
+            detail = exc if isinstance(exc, ConfigError) else "cannot parse %r (%s)" % (raw, exc)
+            raise ConfigError("line %d: %s" % (lineno, detail)) from None
     finish()
 
     named = {p.name: p for p in plans}
     if "full" not in named:
         raise ConfigError("config must define a 'full' band")
     dedicated = tuple(p for p in plans if p.name != "full")
-    return ArchSpec(
-        bands=dedicated, full_band=named["full"], source_text=text, **globals_
-    )
+    return ArchSpec(bands=dedicated, full_band=named["full"], **globals_)
 
 
 def load_arch_file(path) -> ArchSpec:
@@ -272,18 +292,16 @@ def reduce_spec(spec: ArchSpec) -> ArchSpec:
 
         return BandPlan(plan.name, growth, tuple(adjust(s) for s in down + up))
 
-    reduced = replace(
+    return replace(
         spec,
         bands=tuple(shrink(b) for b in spec.bands),
         full_band=shrink(spec.full_band),
-        source_text="",
     )
-    return replace(reduced, source_text=canonical_text(reduced))
 
 
 def toy_arch(fft_size=256, sample_rate=8000) -> ArchSpec:
     """A tiny three-band spec for fast structural and gradient tests."""
-    spec = ArchSpec(
+    return ArchSpec(
         bands=(
             BandPlan("1", 3, (ScaleSlot("d1", 2), ScaleSlot("d2", 2, 4), ScaleSlot("u1", 2))),
             BandPlan("2", 2, (ScaleSlot("d1", 1), ScaleSlot("d2", 1), ScaleSlot("u1", 1))),
@@ -300,7 +318,6 @@ def toy_arch(fft_size=256, sample_rate=8000) -> ArchSpec:
         band_edges_hz=(800, 2200),
         merge_channels=4,
     )
-    return replace(spec, source_text=canonical_text(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "neg",
     "relu",
     "sigmoid",
     "tanh",
@@ -131,23 +130,6 @@ class Tensor:
 
     def __repr__(self):
         return "Tensor(shape=%r, requires_grad=%r)" % (self.shape, self.requires_grad)
-
-    # small operator sugar used by the layers
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -259,10 +241,6 @@ def scale(a, c):
             a._accumulate(g * c)
 
     return _make(out_data, (a,), backward)
-
-
-def neg(a):
-    return scale(a, -1.0)
 
 
 def relu(a):
@@ -483,8 +461,10 @@ def conv_transpose2(x, weight, bias):
 # ---------------------------------------------------------------------------
 # batch normalization (per channel over the (f, t) plane)
 
+BN_EPS = 1e-5  # added to the variance before its square root, in every BN op
 
-def _train_stats(x, gamma, beta, eps):
+
+def _train_stats(x, gamma, beta):
     """Per-channel (mean, var, inv_std, xhat) of train-mode batch norm."""
     if x.ndim != 3:
         raise ShapeError("batch_norm: expected (c, f, t), got %r" % (x.shape,))
@@ -493,11 +473,9 @@ def _train_stats(x, gamma, beta, eps):
         raise ShapeError("batch_norm: zero-size channel plane %r" % (x.shape,))
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError("batch_norm: gamma/beta must be (%d,)" % c)
-    if eps <= 0:
-        raise ShapeError("batch_norm: eps must be positive")
     mean = x.data.mean(axis=(1, 2))
     var = x.data.var(axis=(1, 2))
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = x.data - mean[:, None, None]
     xhat *= inv_std[:, None, None]
     return mean, var, inv_std, xhat
@@ -518,13 +496,13 @@ def _train_backward(g, x, gamma, beta, inv_std, xhat):
         x._accumulate(gx)
 
 
-def batch_norm_train(x, gamma, beta, eps=1e-5):
+def batch_norm_train(x, gamma, beta):
     """Standardize each channel over its spatial plane, then affine.
 
     Returns (out, batch_mean, batch_var); the caller owns running-stat
     bookkeeping. Differentiable w.r.t. x, gamma and beta.
     """
-    mean, var, inv_std, xhat = _train_stats(x, gamma, beta, eps)
+    mean, var, inv_std, xhat = _train_stats(x, gamma, beta)
     out_data = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
 
     def backward(g):
@@ -533,7 +511,7 @@ def batch_norm_train(x, gamma, beta, eps=1e-5):
     return _make(out_data, (x, gamma, beta), backward), mean, var
 
 
-def batch_norm_relu_train(x, gamma, beta, halo, eps=1e-5):
+def batch_norm_relu_train(x, gamma, beta, halo):
     """relu(batch_norm_train(x)) written into a zero halo.
 
     The train-mode twin of batch_norm_relu_eval: the result is
@@ -542,7 +520,7 @@ def batch_norm_relu_train(x, gamma, beta, halo, eps=1e-5):
     (out, batch_mean, batch_var), bitwise equal to np.pad of the unfused
     ops, gradients included; the caller owns running-stat bookkeeping.
     """
-    mean, var, inv_std, xhat = _train_stats(x, gamma, beta, eps)
+    mean, var, inv_std, xhat = _train_stats(x, gamma, beta)
     c, f, t = x.shape
     ph, pw = halo
     out_data = np.zeros((c, f + 2 * ph, t + 2 * pw), dtype=x.data.dtype)
@@ -558,14 +536,14 @@ def batch_norm_relu_train(x, gamma, beta, halo, eps=1e-5):
     return _make(out_data, (x, gamma, beta), backward), mean, var
 
 
-def _eval_affine(x, gamma, beta, running_mean, running_var, eps):
+def _eval_affine(x, gamma, beta, running_mean, running_var):
     """Per-channel (inv_std, scale, shift) of eval-mode batch norm."""
     if x.ndim != 3:
         raise ShapeError("batch_norm: expected (c, f, t), got %r" % (x.shape,))
     c = x.shape[0]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError("batch_norm: gamma/beta must be (%d,)" % c)
-    inv_std = 1.0 / np.sqrt(running_var + eps)
+    inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
     scale_c = gamma.data * inv_std
     shift_c = beta.data - running_mean * scale_c
     return inv_std, scale_c, shift_c
@@ -581,9 +559,9 @@ def _eval_affine_backward(g, x, gamma, beta, running_mean, inv_std, scale_c):
         beta._accumulate(g.sum(axis=(1, 2)))
 
 
-def batch_norm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
+def batch_norm_eval(x, gamma, beta, running_mean, running_var):
     """Affine standardization against fixed (running) statistics."""
-    inv_std, scale_c, shift_c = _eval_affine(x, gamma, beta, running_mean, running_var, eps)
+    inv_std, scale_c, shift_c = _eval_affine(x, gamma, beta, running_mean, running_var)
     out_data = x.data * scale_c[:, None, None]
     out_data += shift_c[:, None, None]
 
@@ -593,7 +571,7 @@ def batch_norm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
     return _make(out_data, (x, gamma, beta), backward)
 
 
-def batch_norm_relu_eval(x, gamma, beta, running_mean, running_var, halo, eps=1e-5):
+def batch_norm_relu_eval(x, gamma, beta, running_mean, running_var, halo):
     """relu(batch_norm_eval(x)) written into a zero halo.
 
     The result is (c, f + 2*ph, t + 2*pw) for halo = (ph, pw): the
@@ -603,7 +581,7 @@ def batch_norm_relu_eval(x, gamma, beta, running_mean, running_var, halo, eps=1e
     in place in the interior, with no temporaries. Differentiable
     w.r.t. x, gamma and beta.
     """
-    inv_std, scale_c, shift_c = _eval_affine(x, gamma, beta, running_mean, running_var, eps)
+    inv_std, scale_c, shift_c = _eval_affine(x, gamma, beta, running_mean, running_var)
     c, f, t = x.shape
     ph, pw = halo
     out_data = np.zeros((c, f + 2 * ph, t + 2 * pw), dtype=x.data.dtype)

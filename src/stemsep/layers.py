@@ -117,12 +117,10 @@ class BatchNorm2d(Module):
     autodiff.batch_norm_relu_eval.
     """
 
-    eps = 1e-5
     momentum = 0.1  # weight of the batch statistics in the running ones
 
     def __init__(self, channels):
         super().__init__()
-        self.channels = channels
         self.gamma = self.add_param("gamma", np.ones(channels, dtype=DEFAULT_DTYPE))
         self.beta = self.add_param("beta", np.zeros(channels, dtype=DEFAULT_DTYPE))
         self.add_buffer("running_mean", np.zeros(channels, dtype=DEFAULT_DTYPE))
@@ -131,9 +129,8 @@ class BatchNorm2d(Module):
     def forward(self, x, halo=(0, 0)):
         running_mean, running_var = self._buffers["running_mean"], self._buffers["running_var"]
         if not self.training:
-            return ad.batch_norm_relu_eval(x, self.gamma, self.beta, running_mean, running_var,
-                                           halo, self.eps)
-        out, mean, var = ad.batch_norm_relu_train(x, self.gamma, self.beta, halo, self.eps)
+            return ad.batch_norm_relu_eval(x, self.gamma, self.beta, running_mean, running_var, halo)
+        out, mean, var = ad.batch_norm_relu_train(x, self.gamma, self.beta, halo)
         m = self.momentum
         running_mean *= 1.0 - m
         running_mean += m * mean
@@ -145,7 +142,6 @@ class BatchNorm2d(Module):
 class Linear(Module):
     def __init__(self, d_in, d_out, rng):
         super().__init__()
-        self.d_in, self.d_out = d_in, d_out
         self.weight = self.add_param("weight", _uniform_fan_in(rng, (d_out, d_in), d_in))
         self.bias = self.add_param("bias", np.zeros(d_out, dtype=DEFAULT_DTYPE))
 
@@ -177,7 +173,6 @@ class BiLSTM(Module):
         wx = self._params[tag + "_wx"]
         wh = self._params[tag + "_wh"]
         b = self._params[tag + "_b"]
-        zero4m = ad.constant(np.zeros(4 * m, dtype=seq.data.dtype))
         # input projections for all steps at once
         zx = ad.affine(seq, wx, b)
         h = ad.constant(np.zeros((1, m), dtype=seq.data.dtype))
@@ -185,7 +180,7 @@ class BiLSTM(Module):
         outputs = [None] * T
         steps = range(T - 1, -1, -1) if reverse else range(T)
         for t in steps:
-            z = ad.add(zx[t:t + 1, :], ad.affine(h, wh, zero4m))
+            z = ad.affine(h, wh, zx[t])  # step t's input projection is the bias
             i = ad.sigmoid(z[:, 0:m])
             f = ad.sigmoid(z[:, m:2 * m])
             g = ad.tanh(z[:, 2 * m:3 * m])

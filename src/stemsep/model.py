@@ -461,6 +461,10 @@ def load_checkpoint(path, model: SeparationModel):
             target.data = arr.astype(entry["dtype"])
         else:
             target[...] = arr  # a buffer keeps its array: BN updates it in place
+    given = {(entry["kind"], entry["name"]) for entry in header["entries"]}
+    missing = ["%s %r" % key for key in targets if key not in given]
+    if missing:
+        raise CheckpointError("%s: checkpoint lacks %s" % (path, ", ".join(missing)))
     return header
 
 

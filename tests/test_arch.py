@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from closed_forms import conv_param_count, dense_block_param_count, lstm_block_param_count
@@ -54,17 +56,70 @@ def test_canonical_round_trip():
     assert again.content_hash() == spec.content_hash()
 
 
+@pytest.mark.parametrize("mode", ["Sa", "Sb", "P"])
+@pytest.mark.parametrize("make", [default_arch, toy_arch,
+                                  lambda: reduce_spec(reduce_spec(default_arch()))],
+                         ids=["default", "toy", "reduced2"])
+def test_source_text_is_derived_and_parses_back(make, mode):
+    spec = dataclasses.replace(make(), mode=mode)
+    assert "source_text" not in [f.name for f in dataclasses.fields(ArchSpec)]
+    assert spec.source_text == canonical_text(spec)
+    assert parse_arch_text(spec.source_text) == spec
+
+
+# the toy config, as canonical_text writes it, with line numbers
+TOY_LINES = canonical_text(toy_arch()).splitlines()
+TOY_BAND1_D1 = TOY_LINES.index("band 1 growth=3") + 2
+
+
+def toy_text_with(lineno, line):
+    """The toy config with line `lineno` (1-based) replaced by `line`."""
+    lines = list(TOY_LINES)
+    lines[lineno - 1] = line
+    return "\n".join(lines) + "\n"
+
+
 def test_parse_rejects_bad_configs():
-    with pytest.raises(ConfigError):
-        parse_arch_text("mode Zz\n")
-    with pytest.raises(ConfigError):
-        parse_arch_text("frobnicate 3\n")
-    # slot before any band stanza
-    with pytest.raises(ConfigError):
-        parse_arch_text("mode Sa\nd1 l=3\n")
-    # missing full band
-    with pytest.raises(ConfigError):
-        parse_arch_text("band 1 growth=2\n  d1 l=1\n")
+    for text in [
+        "mode Zz\n",
+        "frobnicate 3\n",
+        "mode Sa\nd1 l=3\n",  # slot before any band stanza
+        "band 1 growth=2\n  d1 l=1\n",  # missing full band
+        # an edge canonical_text would round to 4096.69 Hz, one bin lower
+        canonical_text(default_arch()).replace("band_edges_hz 4100", "band_edges_hz 4096.6919"),
+    ]:
+        with pytest.raises(ConfigError):
+            parse_arch_text(text)
+    # text canonical_text cannot write fails on its line
+    for lineno, line in [
+        (TOY_BAND1_D1, "  d1 l=2 M=4"),  # unknown slot key
+        (TOY_BAND1_D1, "  d1 l=2 l=3"),  # repeated slot key
+        (TOY_BAND1_D1 - 1, "band 1 growth=3 depth=2"),  # unknown band key
+        (TOY_BAND1_D1 - 1, "band 1 growth=3 growth=3"),  # repeated band key
+        (7, "final_dense layers=2 growth=3 units=4"),  # unknown final_dense key
+        (7, "final_dense layers=2 growth=3 layers=2"),  # repeated final_dense key
+        (2, "mode Sa"),  # a global key given twice
+        (2, "fft_size 256 128"),  # a second value
+        (TOY_BAND1_D1 + 4, "band 1 growth=2"),  # a band name given twice
+    ]:
+        with pytest.raises(ConfigError, match="^line %d: " % lineno):
+            parse_arch_text(toy_text_with(lineno, line))
+    # the full band given twice: the second stanza is the bad line
+    with pytest.raises(ConfigError, match="^line %d: band full given twice"
+                       % (TOY_LINES.index("band full growth=2") + 1)):
+        parse_arch_text(toy_text_with(TOY_BAND1_D1 - 1, "band full growth=3"))
+
+
+def test_arch_spec_rejects_repeated_or_misplaced_band_names():
+    spec = toy_arch()
+    band1, band2, band3 = spec.bands
+    for bands, full in [
+        ((band1, band1, band3), spec.full_band),  # a dedicated name twice
+        ((band1, dataclasses.replace(band2, name="full"), band3), spec.full_band),
+        (spec.bands, dataclasses.replace(spec.full_band, name="4")),  # no full band
+    ]:
+        with pytest.raises(ConfigError, match="band names"):
+            dataclasses.replace(spec, bands=bands, full_band=full)
 
 
 def test_slot_validation():

@@ -218,6 +218,17 @@ def test_inspect_rejects_zero_growth_lstm_only_band(capsys, tmp_path):
     assert "error (config): band 3: growth must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_inspect_rejects_unknown_slot_key(capsys, tmp_path):
+    # a typo for m=4 would otherwise build the slot without its LSTM
+    toy = canonical_text(toy_arch())
+    text = toy.replace("  d2 l=2 m=4\n", "  d2 l=2 M=4\n", 1)
+    assert text != toy
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text)
+    assert cli.main(["inspect", "--arch", str(cfg)]) == 4
+    assert "error (config): line 11: unknown key 'M'" in capsys.readouterr().err
+
+
 def _copy_track(src_dir, out_dir, names, rates=None):
     os.makedirs(out_dir)
     for name in names:
@@ -360,8 +371,7 @@ def _other_arch(field):
         return toy_arch(fft_size=128)
     if field == "sample_rate":
         return toy_arch(sample_rate=16000)
-    spec = dataclasses.replace(toy_arch(), io_channels=1)
-    return dataclasses.replace(spec, source_text=canonical_text(spec))
+    return dataclasses.replace(toy_arch(), io_channels=1)
 
 
 @pytest.mark.parametrize("case,code", [

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -54,10 +55,10 @@ def dense_block_reference(blk, x):
         layer = blk._children["layer%d" % j]
         bn = layer.bn
         if bn.training:
-            h, _, _ = ad.batch_norm_train(state, bn.gamma, bn.beta, bn.eps)
+            h, _, _ = ad.batch_norm_train(state, bn.gamma, bn.beta)
         else:
             h = ad.batch_norm_eval(state, bn.gamma, bn.beta, bn._buffers["running_mean"],
-                                   bn._buffers["running_var"], bn.eps)
+                                   bn._buffers["running_var"])
         outputs.append(layer.conv(ad.relu(h)))
         state = ad.concat([x] + outputs, axis=0)
     return ad.concat(outputs, axis=0)
@@ -179,9 +180,7 @@ def test_sb_dense_consumes_lstm_map():
 def test_mode_wiring_structural_diff():
     wirings = {}
     for mode in ("Sa", "Sb", "P"):
-        spec = toy_arch()
-        spec = type(spec)(**{**spec.__dict__, "mode": mode, "source_text": ""})
-        m = SeparationModel(spec, seed=7)
+        m = SeparationModel(dataclasses.replace(toy_arch(), mode=mode), seed=7)
         wirings[mode] = model_wiring(m)
     # LSTM-free slots agree everywhere; LSTM-bearing slots differ as documented
     assert wirings["Sa"]["1"]["d1"] == wirings["Sb"]["1"]["d1"] == wirings["P"]["1"]["d1"]
@@ -192,8 +191,7 @@ def test_mode_wiring_structural_diff():
 
 @pytest.mark.parametrize("mode", ["Sa", "Sb", "P"])
 def test_all_modes_build_and_differentiate(mode):
-    spec = toy_arch()
-    spec = type(spec)(**{**spec.__dict__, "mode": mode, "source_text": ""})
+    spec = dataclasses.replace(toy_arch(), mode=mode)
     m = SeparationModel(spec, seed=8)
     x = np.abs(RNG(8).standard_normal((2, spec.num_bins, 4)))
     target = np.abs(RNG(9).standard_normal((2, spec.num_bins, 4)))
@@ -443,25 +441,97 @@ def test_checkpoint_rejects_wrong_arch(tmp_path):
         mdl.load_checkpoint(path, other)
 
 
-def _edit_checkpoint_entry(path, entry_name, changes):
+def _edit_checkpoint_header(path, edit):
     header, payload_start = mdl.read_checkpoint_header(path)
     payload = path.read_bytes()[payload_start:]
-    (entry,) = [e for e in header["entries"] if e["name"] == entry_name]
-    entry.update(changes)
+    edit(header)
     hdr = json.dumps(header, sort_keys=True).encode()
     path.write_bytes(mdl.CHECKPOINT_MAGIC + len(hdr).to_bytes(8, "little") + hdr + payload)
 
 
-@pytest.mark.parametrize("changes,message", [
-    ({"name": "band1.d1.dense.layer0.bn.running_nope"}, "unknown buffer"),
-    ({"shape": [1, 3]}, "shape mismatch"),
-], ids=["unknown-name", "wrong-shape"])
-def test_checkpoint_checks_buffers_like_params(tmp_path, changes, message):
+def _edit_checkpoint_entry(path, entry_name, changes):
+    """Update the named entry with `changes`, or drop it if they are None."""
+    def edit(header):
+        (entry,) = [e for e in header["entries"] if e["name"] == entry_name]
+        if changes is None:
+            header["entries"].remove(entry)
+        else:
+            entry.update(changes)
+
+    _edit_checkpoint_header(path, edit)
+
+
+@pytest.mark.parametrize("entry,changes,message", [
+    ("band1.d1.dense.layer0.bn.running_mean",
+     {"name": "band1.d1.dense.layer0.bn.running_nope"}, "unknown buffer"),
+    ("band1.d1.dense.layer0.bn.running_mean", {"shape": [1, 3]}, "shape mismatch"),
+    ("head.weight", None, "checkpoint lacks param 'head.weight'$"),
+    ("band1.d1.dense.layer0.bn.running_var", None,
+     "checkpoint lacks buffer 'band1.d1.dense.layer0.bn.running_var'$"),
+], ids=["unknown-name", "wrong-shape", "missing-param", "missing-buffer"])
+def test_checkpoint_checks_buffers_like_params(tmp_path, entry, changes, message):
     path = tmp_path / "m.ckpt"
     mdl.save_checkpoint(path, SeparationModel(toy_arch(), seed=32))
-    _edit_checkpoint_entry(path, "band1.d1.dense.layer0.bn.running_mean", changes)
+    _edit_checkpoint_entry(path, entry, changes)
     with pytest.raises(mdl.CheckpointError, match=message):
         mdl.load_checkpoint_model(path)
+
+
+def test_checkpoint_names_every_missing_entry(tmp_path):
+    path = tmp_path / "m.ckpt"
+    mdl.save_checkpoint(path, SeparationModel(toy_arch(), seed=32))
+    _edit_checkpoint_header(path, lambda header: header["entries"].clear())
+    with pytest.raises(mdl.CheckpointError) as info:
+        mdl.load_checkpoint_model(path)
+    m = SeparationModel(toy_arch())
+    names = [("param", n) for n, _ in m.named_params()]
+    names += [("buffer", n) for n, _ in m.named_buffers()]
+    assert str(info.value).endswith(", ".join("%s %r" % kn for kn in names))
+
+
+def _toy_spec_built_in_code():
+    slots = (ScaleSlot("d1", 1), ScaleSlot("d2", 1, 2), ScaleSlot("u1", 1))
+    return ArchSpec(bands=(BandPlan("1", 2, slots), BandPlan("2", 3, slots[:1])),
+                    full_band=BandPlan("full", 2, slots), mode="Sb", final_layers=1,
+                    final_growth=2, fft_size=64, sample_rate=8000, band_edges_hz=(1000,),
+                    merge_channels=2)
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: dataclasses.replace(toy_arch(), mode="P"), _toy_spec_built_in_code,
+], ids=["replaced", "built-in-code"])
+def test_checkpoint_of_a_spec_not_parsed_from_text_loads(tmp_path, make_spec):
+    spec = make_spec()
+    m = SeparationModel(spec, seed=33)
+    path = tmp_path / "m.ckpt"
+    mdl.save_checkpoint(path, m)
+    m2 = mdl.load_checkpoint_model(path)
+    assert m2.spec == spec
+    assert mdl.read_checkpoint_header(path)[0]["arch_text"] == canonical_text(spec)
+    for (n1, a), (n2, b) in zip(m.named_params(), m2.named_params()):
+        assert n1 == n2
+        np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_checkpoint_with_commented_config_text_loads(tmp_path):
+    # earlier checkpoints embed the config file's text, comments included
+    import importlib.resources
+
+    shipped = importlib.resources.files("stemsep").joinpath("configs/full44k.cfg").read_text()
+    assert "#" in shipped
+    m = SeparationModel(default_arch(), seed=34)
+    path = tmp_path / "m.ckpt"
+    mdl.save_checkpoint(path, m)
+
+    def set_text(header):
+        header["arch_text"] = shipped
+
+    _edit_checkpoint_header(path, set_text)
+    m2 = mdl.load_checkpoint_model(path)
+    assert m2.spec == default_arch()
+    for (n1, a), (n2, b) in zip(m.named_params(), m2.named_params()):
+        assert n1 == n2
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 # spec -> (content_hash, sha256 of the (name, shape) layout of parameters
