@@ -489,6 +489,12 @@ def test_checkpoint_names_every_missing_entry(tmp_path):
     assert str(info.value).endswith(", ".join("%s %r" % kn for kn in names))
 
 
+def _assert_same_params(m, m2):
+    for (n1, a), (n2, b) in zip(m.named_params(), m2.named_params()):
+        assert n1 == n2
+        np.testing.assert_array_equal(a.data, b.data)
+
+
 def _toy_spec_built_in_code():
     slots = (ScaleSlot("d1", 1), ScaleSlot("d2", 1, 2), ScaleSlot("u1", 1))
     return ArchSpec(bands=(BandPlan("1", 2, slots), BandPlan("2", 3, slots[:1])),
@@ -508,9 +514,7 @@ def test_checkpoint_of_a_spec_not_parsed_from_text_loads(tmp_path, make_spec):
     m2 = mdl.load_checkpoint_model(path)
     assert m2.spec == spec
     assert mdl.read_checkpoint_header(path)[0]["arch_text"] == canonical_text(spec)
-    for (n1, a), (n2, b) in zip(m.named_params(), m2.named_params()):
-        assert n1 == n2
-        np.testing.assert_array_equal(a.data, b.data)
+    _assert_same_params(m, m2)
 
 
 def test_checkpoint_with_commented_config_text_loads(tmp_path):
@@ -529,9 +533,7 @@ def test_checkpoint_with_commented_config_text_loads(tmp_path):
     _edit_checkpoint_header(path, set_text)
     m2 = mdl.load_checkpoint_model(path)
     assert m2.spec == default_arch()
-    for (n1, a), (n2, b) in zip(m.named_params(), m2.named_params()):
-        assert n1 == n2
-        np.testing.assert_array_equal(a.data, b.data)
+    _assert_same_params(m, m2)
 
 
 # spec -> (content_hash, sha256 of the (name, shape) layout of parameters
