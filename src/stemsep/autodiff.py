@@ -2,9 +2,10 @@
 
 Implements exactly the operation set the separation model needs: 2-D
 convolution, batch normalization (plus train- and eval-mode BN + ReLU
-fused into a zero-bordered map), ReLU/sigmoid/tanh, 2x2 average pooling,
-stride-2 transposed convolution, affine maps, concatenation, slicing and
-the usual elementwise/reduction glue. Each operation records a backward
+fused into a zero-bordered map, and an inference-only BN + ReLU + conv
+that builds that map one row block at a time), ReLU/sigmoid/tanh, 2x2
+average pooling, stride-2 transposed convolution, affine maps,
+concatenation, slicing and the usual elementwise/reduction glue. Each operation records a backward
 closure; `Tensor.backward()` runs a reverse topological sweep.
 
 Conventions:
@@ -25,6 +26,7 @@ __all__ = [
     "NumericError",
     "ShapeError",
     "no_grad",
+    "grad_enabled",
     "constant",
     "parameter",
     "add",
@@ -44,6 +46,7 @@ __all__ = [
     "batch_norm_eval",
     "batch_norm_relu_train",
     "batch_norm_relu_eval",
+    "batch_norm_relu_conv2d_eval",
     "concat",
     "concat_view",
     "getitem",
@@ -78,6 +81,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def grad_enabled():
+    """Whether ops record a graph (False inside no_grad)."""
+    return _grad_enabled
 
 
 class Tensor:
@@ -323,22 +331,11 @@ def affine(x, weight, bias):
 # convolution family (inputs are (c, f, t) maps)
 
 
-def conv2d(x, weight, bias, padding="same", out=None):
-    """Cross-correlation of a (c_in, f, t) map with (c_out, c_in, kh, kw).
+CONV_TILE_BYTES = 4 << 20  # size of the tap array of one row block in conv2d's forward
 
-    out, when given, is the (c_out, fo, to) array the result is written
-    into (e.g. a slot of a dense block's channel buffer); the returned
-    tensor's data is that array.
 
-    The backward is two GEMMs over one tap-shifted gradient (convolution
-    as a few large GEMMs, Chellapilla, Puri & Simard 2006). `shifted` is
-    a zero (kh*kw*c_out, fp*tp) array on the padded (fp, tp) grid whose
-    row block (di, dj) holds g placed at offset (di, dj). Then the weight
-    gradient is shifted @ xp.T, which reads the padded input in place
-    with no window copies, and the padded input gradient is w9.T @
-    shifted with w9 the (kh*kw*c_out, c_in) tap-major kernel; same
-    padding slices its interior out.
-    """
+def _conv_setup(x, weight, bias, padding, out):
+    """Check conv2d's operands; return (ph, pw, out_data)."""
     if x.ndim != 3 or weight.ndim != 4:
         raise ShapeError("conv2d: x %r, weight %r" % (x.shape, weight.shape))
     c_out, c_in, kh, kw = weight.shape
@@ -359,23 +356,69 @@ def conv2d(x, weight, bias, padding="same", out=None):
     fo, to = f + 2 * ph - kh + 1, t + 2 * pw - kw + 1
     if fo < 1 or to < 1:
         raise ShapeError("conv2d: input %r too small for %dx%d valid kernel" % (x.shape, kh, kw))
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-
     if out is None:
-        out_data = np.empty((c_out, fo, to), dtype=x.data.dtype)
-    elif out.shape != (c_out, fo, to) or out.dtype != x.data.dtype:
+        return ph, pw, np.empty((c_out, fo, to), dtype=x.data.dtype)
+    if out.shape != (c_out, fo, to) or out.dtype != x.data.dtype:
         raise ShapeError("conv2d: out %r %s, expected %r %s"
                          % (out.shape, out.dtype, (c_out, fo, to), x.data.dtype))
-    else:
-        out_data = out
-    out_data[:] = bias.data[:, None, None]
+    return ph, pw, out
+
+
+def _conv_forward(read_rows, w, bias, out):
+    """out = bias + the valid cross-correlation of w with a padded input,
+    one block of output rows at a time.
+
+    read_rows(lo, hi) returns rows [lo, hi) of the padded (c_in, fp, tp)
+    input, the first call being the tallest. A block of n output rows
+    needs n + kh - 1 input rows; one GEMM of the tap-major kernel w9
+    (kh*kw*c_out, c_in) against them, read in place, gives the block's
+    (kh, kw, c_out, n + kh - 1, tp) tap array, and its kh*kw shifted
+    taps are added into the block in (di, dj) order. n keeps the tap
+    array near CONV_TILE_BYTES, so the taps are added while in cache.
+    """
+    c_out, c_in, kh, kw = w.shape
+    _, fo, to = out.shape
+    tp = to + kw - 1
+    w9 = w.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
+    rows = max(1, CONV_TILE_BYTES // (w9.shape[0] * tp * out.itemsize) - (kh - 1))
+    for r0 in range(0, fo, rows):
+        n = min(rows, fo - r0)
+        xr = read_rows(r0, r0 + n + kh - 1)
+        taps = (w9 @ xr.reshape(c_in, -1)).reshape(kh, kw, c_out, n + kh - 1, tp)
+        block = out[:, r0:r0 + n]
+        block[:] = bias[:, None, None]
+        for di in range(kh):
+            for dj in range(kw):
+                block += taps[di, dj, :, di:di + n, dj:dj + to]
+
+
+def conv2d(x, weight, bias, padding="same", out=None):
+    """Cross-correlation of a (c_in, f, t) map with (c_out, c_in, kh, kw).
+
+    out, when given, is the (c_out, fo, to) array the result is written
+    into (e.g. a slot of a dense block's channel buffer); the returned
+    tensor's data is that array.
+
+    The forward runs in blocks of output rows (_conv_forward): one GEMM
+    per block against the padded input's rows, viewed in place, then a
+    shifted sum of the taps. Only one block's taps exist at a time.
+
+    The backward is two GEMMs over one tap-shifted gradient (convolution
+    as a few large GEMMs, Chellapilla, Puri & Simard 2006). `shifted` is
+    a zero (kh*kw*c_out, fp*tp) array on the padded (fp, tp) grid whose
+    row block (di, dj) holds g placed at offset (di, dj). Then the weight
+    gradient is shifted @ xp.T, which reads the padded input in place
+    with no window copies, and the padded input gradient is w9.T @
+    shifted with w9 the (kh*kw*c_out, c_in) tap-major kernel; same
+    padding slices its interior out.
+    """
+    ph, pw, out_data = _conv_setup(x, weight, bias, padding, out)
+    c_out, c_in, kh, kw = weight.shape
+    _, f, t = x.shape
+    _, fo, to = out_data.shape
+    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
     w = weight.data
-    # one GEMM per kernel row against the whole (unwindowed) input,
-    # then shifted accumulation: avoids copying input windows per tap
-    for di in range(kh):
-        taps = np.tensordot(w[:, :, di, :], xp, axes=([1], [0]))  # (c_out, kw, fp, tp)
-        for dj in range(kw):
-            out_data += taps[:, dj, di:di + fo, dj:dj + to]
+    _conv_forward(lambda lo, hi: xp[:, lo:hi], w, bias.data, out_data)
     _check_finite(out_data, "conv2d")
 
     def backward(g):
@@ -597,6 +640,44 @@ def batch_norm_relu_eval(x, gamma, beta, running_mean, running_var, halo):
     return _make(out_data, (x, gamma, beta), backward)
 
 
+def batch_norm_relu_conv2d_eval(x, gamma, beta, running_mean, running_var, weight, bias,
+                                out=None):
+    """conv2d(batch_norm_relu_eval(x, ..., halo), weight, bias, "valid",
+    out) with halo = (kh // 2, kw // 2), for inference.
+
+    The BN+ReLU map is made one row block at a time, as _conv_forward
+    asks for its rows, in one reused zero-bordered tile; the whole halo
+    map is never built (the memory-efficient DenseNet idea, Pleiss et
+    al. 2017, arXiv:1707.06990). Bitwise equal to the two ops. It records
+    no graph, so it runs only with graph recording off.
+    """
+    if _grad_enabled:
+        raise GraphError("batch_norm_relu_conv2d_eval records no graph; run it under no_grad")
+    _, scale_c, shift_c = _eval_affine(x, gamma, beta, running_mean, running_var)
+    ph, pw, out_data = _conv_setup(x, weight, bias, "same", out)
+    c, f, t = x.shape
+    scale_c, shift_c = scale_c[:, None, None], shift_c[:, None, None]
+    tile = None
+
+    def read_rows(lo, hi):
+        nonlocal tile
+        if tile is None:  # the first block is the tallest; the border columns stay zero
+            tile = np.zeros((c, hi - lo, t + 2 * pw), dtype=x.data.dtype)
+        rows = tile[:, :hi - lo]
+        a, b = max(lo, ph), min(hi, ph + f)  # the padded rows that hold rows of x
+        rows[:, :a - lo] = 0
+        rows[:, b - lo:] = 0
+        inner = rows[:, a - lo:b - lo, pw:pw + t]
+        np.multiply(x.data[:, a - ph:b - ph], scale_c, out=inner)
+        inner += shift_c
+        np.maximum(inner, 0, out=inner)
+        return rows
+
+    _conv_forward(read_rows, weight.data, bias.data, out_data)
+    _check_finite(out_data, "conv2d")
+    return Tensor(out_data)
+
+
 # ---------------------------------------------------------------------------
 # shape surgery
 
@@ -642,14 +723,20 @@ def concat_view(data, tensors, axis=0):
 
 
 def getitem(x, key):
-    """Basic (slice/int) indexing only; fancy indexing is not supported."""
+    """Basic (slice/int) indexing only; fancy indexing is not supported.
+
+    The backward adds g into the indexed part of x's gradient, made once
+    as zeros, so n slices of x cost O(x.size + n * slice) and not
+    O(n * x.size): the BiLSTM takes one row of its (T, 4m) input
+    projection per step.
+    """
     out_data = x.data[key]
 
     def backward(g):
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[key] += g
-            x._accumulate(gx)
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[key] += g
 
     return _make(out_data, (x,), backward)
 

@@ -17,10 +17,12 @@ Conventions:
     arXiv:1707.06990). The block returns the view buf[c_in:]. Training
     and inference share this path; with grad on, each prefix is a
     concat_view whose backward is concat's
-  * in training and in eval mode a dense layer's BN and ReLU run as one
+  * when a graph is recorded, a dense layer's BN and ReLU run as one
     fused pass that writes into the interior of a zero-bordered map, and
     its conv runs with valid padding on that map instead of padding a
-    copy
+    copy. For inference (eval mode under no_grad) BN, ReLU and the conv
+    are one op that writes that map one block of frequency rows at a
+    time into a reused tile, so no layer's full-size BN+ReLU map exists
   * an LSTM block produces a single feature map; the combination mode
     decides where it is concatenated (Sa: after the dense block, Sb:
     onto the slot input before the dense block, P: next to the dense
@@ -43,10 +45,12 @@ from .layers import BiLSTM, BatchNorm2d, Conv2d, ConvTranspose2x2, Linear, Modul
 class DenseLayer(Module):
     """BN -> ReLU -> 3x3 conv with `growth` output maps.
 
-    BN and ReLU are one fused op, in training and in eval mode, that
-    writes into a zero halo of the conv's half kernel size, so the conv
-    needs no padding. out, when given, is the array the conv writes its
-    output into.
+    When a graph is recorded (training, or eval with grad on), BN and
+    ReLU are one fused op that writes into a zero halo of the conv's
+    half kernel size, so the conv needs no padding. In eval mode with no
+    graph, BN, ReLU and the conv are one op that builds that halo map
+    one row block at a time and never whole. out, when given, is the
+    array the conv writes its output into.
     """
 
     def __init__(self, c_in, growth, rng):
@@ -55,9 +59,13 @@ class DenseLayer(Module):
         self.conv = self.add_child("conv", Conv2d(c_in, growth, 3, 3, rng))
 
     def forward(self, x, out=None):
-        w, b = self.conv.weight, self.conv.bias
-        h = self.bn(x, (w.shape[2] // 2, w.shape[3] // 2))
-        return ad.conv2d(h, w, b, padding="valid", out=out)
+        bn, w, b = self.bn, self.conv.weight, self.conv.bias
+        if self.training or ad.grad_enabled():  # the backward needs the whole map
+            h = bn(x, (w.shape[2] // 2, w.shape[3] // 2))
+            return ad.conv2d(h, w, b, padding="valid", out=out)
+        return ad.batch_norm_relu_conv2d_eval(
+            x, bn.gamma, bn.beta, bn._buffers["running_mean"], bn._buffers["running_var"],
+            w, b, out=out)
 
 
 class DenseBlock(Module):
@@ -448,6 +456,7 @@ def load_checkpoint(path, model: SeparationModel):
     with open(path, "rb") as fh:
         fh.seek(payload_start)
         payload = fh.read()
+    loaded = []
     for entry in header["entries"]:
         kind, name = entry["kind"], entry["name"]
         if (kind, name) not in targets:
@@ -457,14 +466,17 @@ def load_checkpoint(path, model: SeparationModel):
             raise CheckpointError("shape mismatch for %r" % name)
         raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
         arr = np.frombuffer(raw, dtype=_DTYPE_TAGS[entry["dtype"]]).reshape(entry["shape"])
-        if kind == "param":
-            target.data = arr.astype(entry["dtype"])
-        else:
-            target[...] = arr  # a buffer keeps its array: BN updates it in place
+        loaded.append((kind, target, arr.astype(entry["dtype"])))
     given = {(entry["kind"], entry["name"]) for entry in header["entries"]}
     missing = ["%s %r" % key for key in targets if key not in given]
     if missing:
         raise CheckpointError("%s: checkpoint lacks %s" % (path, ", ".join(missing)))
+    # every entry has passed its checks: only now is the model written
+    for kind, target, arr in loaded:
+        if kind == "param":
+            target.data = arr
+        else:
+            target[...] = arr  # a buffer keeps its array: BN updates it in place
     return header
 
 

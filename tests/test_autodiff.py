@@ -167,6 +167,104 @@ def test_conv2d_grad_check():
     assert report["passed"], report
 
 
+def conv2d_tensordot_reference(x, w, b, padding):
+    """The forward conv2d had before its row tiles: one tensordot per
+    kernel row over the whole padded input, each kw times the output's
+    size, then a shifted sum of the taps into the whole output."""
+    c_out, c_in, kh, kw = w.shape
+    ph, pw = (kh // 2, kw // 2) if padding == "same" else (0, 0)
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    fo, to = xp.shape[1] - kh + 1, xp.shape[2] - kw + 1
+    out = np.empty((c_out, fo, to), dtype=x.dtype)
+    out[:] = b[:, None, None]
+    for di in range(kh):
+        taps = np.tensordot(w[:, :, di, :], xp, axes=([1], [0]))  # (c_out, kw, fp, tp)
+        for dj in range(kw):
+            out += taps[:, dj, di:di + fo, dj:dj + to]
+    return out
+
+
+def assert_conv_close(got, want, x, w, b, padding):
+    """got and want are two sums of the same c_in*kh*kw products plus the
+    bias in any order: each is within n*eps*(|w| * |x| + |b|) of the
+    exact value, with n = c_in*kh*kw + 1."""
+    n = w[0].size + 1
+    absolute = conv2d_tensordot_reference(*(np.abs(a).astype(np.float64) for a in (x, w, b)),
+                                          padding)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 2 * n * np.finfo(got.dtype).eps * absolute)
+
+
+TILE_ROWS = 3  # output rows per block when a test sets CONV_TILE_BYTES with tile_bytes
+
+
+def tile_bytes(c_out, kh, kw, tp, dtype, rows=TILE_ROWS):
+    """The CONV_TILE_BYTES that makes conv2d's forward take `rows` output
+    rows per block: the tap array of rows + kh - 1 padded input rows."""
+    return (rows + kh - 1) * kh * kw * c_out * tp * np.dtype(dtype).itemsize
+
+
+def test_conv2d_row_blocks(monkeypatch):
+    """Blocks of TILE_ROWS output rows, each reading kh - 1 more padded
+    input rows, the first the tallest; the last block is short."""
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, 3, 3, 6, np.float64))
+    rng = np.random.default_rng(3)
+    xp = rand(rng, 4, 9, 6)
+    calls = []
+
+    def read_rows(lo, hi):
+        calls.append((lo, hi))
+        return xp[:, lo:hi]
+
+    out = np.empty((2, 7, 4))
+    w, b = rand(rng, 2, 4, 3, 3), rand(rng, 2)
+    ad._conv_forward(read_rows, w, b, out)
+    assert calls == [(0, 5), (3, 8), (6, 9)]
+    assert_conv_close(out, conv2d_oracle(xp, w, b, "valid"), xp, w, b, "valid")
+
+
+# (c_in, c_out, kh, kw, padding)
+CONV_TILE_CASES = [
+    (3, 2, 3, 3, "same"),
+    (3, 2, 3, 3, "valid"),
+    (4, 3, 1, 1, "same"),
+    (2, 5, 3, 1, "valid"),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in, c_out, kh, kw, padding", CONV_TILE_CASES)
+@pytest.mark.parametrize("fo", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS + 1])
+def test_conv2d_row_tiles_match_oracle(monkeypatch, dtype, c_in, c_out, kh, kw, padding, fo):
+    """Every block split, including a first block that is the last one,
+    matches the nested-loop oracle and the tensordot forward."""
+    ph, pw = (kh // 2, kw // 2) if padding == "same" else (0, 0)
+    t = 5
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(c_out, kh, kw, t + 2 * pw, dtype))
+    rng = np.random.default_rng(fo)
+    x = rand(rng, c_in, fo + kh - 1 - 2 * ph, t).astype(dtype)
+    w = rand(rng, c_out, c_in, kh, kw).astype(dtype)
+    b = rand(rng, c_out).astype(dtype)
+    got = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b), padding=padding).data
+    assert got.dtype == dtype and got.shape == (c_out, fo, t + 2 * pw - kw + 1)
+    assert_conv_close(got, conv2d_oracle(x, w, b, padding).astype(dtype), x, w, b, padding)
+    assert_conv_close(got, conv2d_tensordot_reference(x, w, b, padding), x, w, b, padding)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_matches_tensordot_at_model_sizes(dtype):
+    """A dense layer's shape in a 256-frame fp32 forward: several blocks
+    at the default CONV_TILE_BYTES, the last one short."""
+    rng = np.random.default_rng(4)
+    x = rand(rng, 40, 73, 258).astype(dtype)
+    w = (0.1 * rand(rng, 14, 40, 3, 3)).astype(dtype)
+    b = rand(rng, 14).astype(dtype)
+    rows = ad.CONV_TILE_BYTES // (9 * 14 * 258 * np.dtype(dtype).itemsize) - 2
+    assert 71 % rows and 71 // rows >= 2
+    got = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b), padding="valid").data
+    assert_conv_close(got, conv2d_tensordot_reference(x, w, b, "valid"), x, w, b, "valid")
+
+
 # ---------------------------------------------------------------------------
 # pooling / upsampling
 
@@ -375,6 +473,44 @@ def test_batch_norm_relu_eval_propagates_nan():
     out = ad.batch_norm_relu_eval(x, gamma, beta, mean, var, (1, 1)).data
     assert np.all(np.isnan(out[1, 1:-1, 1:-1]))
     assert np.all(np.isfinite(out[0]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kh, kw", [(3, 3), (1, 1), (3, 1)])
+@pytest.mark.parametrize("fo", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS + 1])
+def test_batch_norm_relu_conv2d_eval_matches_two_ops(monkeypatch, dtype, kh, kw, fo):
+    """Bitwise equal to conv2d(batch_norm_relu_eval(...), "valid") over
+    every block split, written into out when given."""
+    c_in, c_out, t = 3, 2, 5
+    halo = (kh // 2, kw // 2)
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(c_out, kh, kw, t + 2 * halo[1], dtype))
+    rng = np.random.default_rng(20 + fo)
+    x = ad.constant(rand(rng, c_in, fo, t).astype(dtype))
+    gamma, beta, mean, var = eval_stats(rng, c_in, dtype)
+    w = ad.constant(rand(rng, c_out, c_in, kh, kw).astype(dtype))
+    b = ad.constant(rand(rng, c_out).astype(dtype))
+    with ad.no_grad():
+        h = ad.batch_norm_relu_eval(x, gamma, beta, mean, var, halo)
+        want = ad.conv2d(h, w, b, padding="valid").data
+        buf = np.full((c_out + 2, fo, t), 9.0, dtype=dtype)
+        got = ad.batch_norm_relu_conv2d_eval(x, gamma, beta, mean, var, w, b, out=buf[1:-1])
+    assert got.data.dtype == dtype and np.shares_memory(got.data, buf)
+    np.testing.assert_array_equal(got.data, want)
+    np.testing.assert_array_equal(buf[[0, -1]], 9.0)
+
+
+def test_batch_norm_relu_conv2d_eval_checks():
+    """A NaN running variance raises; so does a call that would record a
+    graph, since the op has no backward."""
+    rng = np.random.default_rng(21)
+    x = ad.constant(rand(rng, 2, 4, 3))
+    gamma, beta, mean, var = eval_stats(rng, 2)
+    w, b = ad.constant(rand(rng, 3, 2, 3, 3)), ad.constant(np.zeros(3))
+    with pytest.raises(ad.GraphError):
+        ad.batch_norm_relu_conv2d_eval(x, gamma, beta, mean, var, w, b)
+    var[1] = np.nan
+    with ad.no_grad(), pytest.raises(ad.NumericError, match="conv2d"):
+        ad.batch_norm_relu_conv2d_eval(x, gamma, beta, mean, var, w, b)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -635,6 +771,46 @@ def test_bilstm_grad_check():
         build, list(lstm.named_params()), tol=1e-4, rng=rng, max_entries=6
     )
     assert report["passed"], report
+
+
+def getitem_reference(x, key):
+    """getitem with the backward it had before: a zero array the size of
+    x for each slice, accumulated into x's gradient."""
+    def backward(g):
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            gx[key] += g
+            x._accumulate(gx)
+
+    return ad._make(x.data[key], (x,), backward)
+
+
+@pytest.mark.parametrize("graph", ["bilstm", "mixed"])
+def test_getitem_gradients_equal_per_slice_zero_arrays(monkeypatch, graph):
+    """The BiLSTM's per-step rows of its input projection, and slices of
+    a tensor that is also used whole, give the same gradients (==) as
+    the reference backward."""
+    rng = np.random.default_rng(17)
+    lstm = BiLSTM(3, 4, rng)
+    x = ad.parameter(rng.standard_normal((9, 3)))
+    params = [x] + [p for _, p in lstm.named_params()]
+
+    def loss():
+        if graph == "bilstm":
+            y = lstm(x)
+        else:
+            y = ad.concat([ad.mul(x, x), x[2:7], x[1:3], x[4:5]], axis=0)
+        return ad.tsum(ad.mul(y, y))
+
+    grads = []
+    for op in (ad.getitem, getitem_reference):
+        monkeypatch.setattr(ad, "getitem", op)
+        for p in params:
+            p.zero_grad()
+        loss().backward()
+        grads.append([p.grad for p in params])
+    for got, want in zip(*grads):
+        assert (got is None and want is None) or np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

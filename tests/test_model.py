@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,27 @@ def test_dense_block_matches_concat_reference(dtype, layers, training):
     np.testing.assert_array_equal(y_new, y_ref)
     for a, b in zip(g_new, g_ref):
         np.testing.assert_array_equal(a, b)
+
+
+def test_eval_dense_layer_never_builds_its_halo_map(monkeypatch):
+    """A no-grad eval DenseLayer forward allocates less, at its peak, than
+    the zero-bordered BN+ReLU map of its input, which it never builds
+    whole. The tile size is set so that the forward takes many blocks."""
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", 64 << 10, raising=False)
+    layer = mdl.DenseLayer(16, 4, RNG(43))
+    randomize_running_stats(layer, RNG(44))
+    layer.set_training(False)
+    x = ad.constant(RNG(45).standard_normal((16, 64, 64)))
+    halo_bytes = 16 * 66 * 66 * x.data.itemsize
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            y = layer(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (4, 64, 64)
+    assert peak < halo_bytes, (peak, halo_bytes)
 
 
 def test_dense_block_degenerate_passthrough():
@@ -461,7 +483,8 @@ def _edit_checkpoint_entry(path, entry_name, changes):
     _edit_checkpoint_header(path, edit)
 
 
-@pytest.mark.parametrize("entry,changes,message", [
+# (entry, changes, message) of a checkpoint that must not load
+BAD_ENTRIES = pytest.mark.parametrize("entry,changes,message", [
     ("band1.d1.dense.layer0.bn.running_mean",
      {"name": "band1.d1.dense.layer0.bn.running_nope"}, "unknown buffer"),
     ("band1.d1.dense.layer0.bn.running_mean", {"shape": [1, 3]}, "shape mismatch"),
@@ -469,12 +492,30 @@ def _edit_checkpoint_entry(path, entry_name, changes):
     ("band1.d1.dense.layer0.bn.running_var", None,
      "checkpoint lacks buffer 'band1.d1.dense.layer0.bn.running_var'$"),
 ], ids=["unknown-name", "wrong-shape", "missing-param", "missing-buffer"])
+
+
+@BAD_ENTRIES
 def test_checkpoint_checks_buffers_like_params(tmp_path, entry, changes, message):
     path = tmp_path / "m.ckpt"
     mdl.save_checkpoint(path, SeparationModel(toy_arch(), seed=32))
     _edit_checkpoint_entry(path, entry, changes)
     with pytest.raises(mdl.CheckpointError, match=message):
         mdl.load_checkpoint_model(path)
+
+
+@BAD_ENTRIES
+def test_failed_checkpoint_load_leaves_model_unchanged(tmp_path, entry, changes, message):
+    path = tmp_path / "m.ckpt"
+    mdl.save_checkpoint(path, SeparationModel(toy_arch(), seed=32))
+    _edit_checkpoint_entry(path, entry, changes)
+    m = SeparationModel(toy_arch(), seed=2)
+    with pytest.raises(mdl.CheckpointError, match=message):
+        mdl.load_checkpoint(path, m)
+    fresh = SeparationModel(toy_arch(), seed=2)
+    _assert_same_params(m, fresh)
+    for (n1, a), (n2, b) in zip(m.named_buffers(), fresh.named_buffers()):
+        assert n1 == n2
+        np.testing.assert_array_equal(a, b)
 
 
 def test_checkpoint_names_every_missing_entry(tmp_path):
