@@ -193,7 +193,9 @@ def read_wav(path) -> AudioClip:
         data = data[:, None]
     if data.shape[1] > 2:
         raise InputError("%s: only 1-2 channels supported" % path)
-    if data.dtype == np.int16:
+    if data.dtype == np.uint8:  # unsigned 8-bit PCM, centred on 128
+        samples = (data.astype(np.float64) - 128.0) / 128.0
+    elif data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:
         samples = data.astype(np.float64) / 2147483648.0

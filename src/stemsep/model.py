@@ -325,6 +325,9 @@ class SeparationModel(Module):
             yf = yf[:, : spec.num_bins, :]
 
         y = ad.concat([merged, yf], axis=0)
+        # yf views the full band's whole channel buffer: free it, and the
+        # band outputs, before the final block builds its own
+        del band_outputs, merged, yf
         y = self.final(y)
         y = ad.relu(self.head(y))
         if t_pad != t:

@@ -1,11 +1,17 @@
 """Oracle masks, multichannel Wiener post-filtering and the separation
 pipeline.
 
-The Wiener filter is a single direct pass (no EM): per-source power is
-the channel-mean squared magnitude estimate, the spatial covariance per
-frequency is the power-weighted average of mixture outer products
-(trace-normalized), and the per-bin filters sum to the identity up to a
-small regularizer, so the source outputs conserve the mixture.
+The Wiener filter is a single direct pass (no EM) of the full-rank
+spatial-covariance model (Duong, Vincent & Gribonval 2010): per-source
+power v_j is the channel-mean squared magnitude estimate, and the
+spatial covariance R_j per frequency is the power-weighted average of
+the mixture outer products, scaled to trace 2. Each Hermitian 2x2
+matrix is held as its two real diagonals and one complex off-diagonal,
+so the filter is a few per-entry formulas: the mixture covariance
+Sigma = sum_j v_j R_j + eps I is three (f, t) planes, inverted through
+its real determinant; z = Sigma^-1 x is solved once, and each source is
+y_j = v_j R_j z. The sources therefore sum to the mixture up to the
+regularizer eps.
 """
 
 from __future__ import annotations
@@ -51,21 +57,6 @@ def soft_mask(source_powers: dict) -> dict:
     return {n: stack[i] / denom for i, n in enumerate(names)}
 
 
-def _invert_2x2_hermitian(m):
-    """Vectorized inverse of (..., 2, 2) Hermitian matrices."""
-    a = m[..., 0, 0]
-    b = m[..., 0, 1]
-    c = m[..., 1, 0]
-    d = m[..., 1, 1]
-    det = a * d - b * c
-    inv = np.empty_like(m)
-    inv[..., 0, 0] = d / det
-    inv[..., 0, 1] = -b / det
-    inv[..., 1, 0] = -c / det
-    inv[..., 1, 1] = a / det
-    return inv
-
-
 def multichannel_wiener(mixture_stft, estimate_mags: dict,
                         force_identity_covariance=False) -> dict:
     """Single-pass multichannel Wiener filter for a stereo mixture.
@@ -84,48 +75,43 @@ def multichannel_wiener(mixture_stft, estimate_mags: dict,
         if np.asarray(estimate_mags[n]).shape != x.shape:
             raise SeparationError("estimate %r shape mismatch" % n)
 
-    _, f, t = x.shape
     if not np.any(x):
         return {n: np.zeros_like(x) for n in names}
+    f = x.shape[1]
     # per-source power: channel mean of squared magnitudes -> (src, f, t)
     v = np.stack([
         (np.asarray(estimate_mags[n]) ** 2).mean(axis=0) for n in names
     ])
 
-    xt = x.transpose(1, 2, 0)  # (f, t, 2)
-    outer = xt[..., :, None] * np.conj(xt[..., None, :])  # (f, t, 2, 2)
-
-    eye = np.eye(2, dtype=complex)
-    cov = np.empty((len(names), f, 2, 2), dtype=complex)
-    if force_identity_covariance:
-        cov[:] = eye
-    else:
-        for j in range(len(names)):
-            w = v[j][..., None, None]  # (f, t, 1, 1)
-            num = (w * outer).sum(axis=1)  # (f, 2, 2)
-            den = v[j].sum(axis=1)[:, None, None]
-            r = np.divide(num, den, out=np.tile(eye, (f, 1, 1)).astype(complex),
-                          where=den > 0)
-            trace = np.real(r[:, 0, 0] + r[:, 1, 1])
-            safe = trace > 0
-            r[safe] *= (2.0 / trace[safe])[:, None, None]
-            r[~safe] = eye
-            cov[j] = r
-
-    # per-bin mix model: sum_k v_k R_k + eps I
-    mix_cov = np.zeros((f, t, 2, 2), dtype=complex)
-    for j in range(len(names)):
-        mix_cov += v[j][..., None, None] * cov[j][:, None, :, :]
+    # a Hermitian 2x2 matrix is its entries (m00, m11, m01): a real
+    # diagonal and a complex off-diagonal, m10 = conj(m01)
+    x0, x1 = x
+    outer = (np.abs(x0) ** 2, np.abs(x1) ** 2, x0 * np.conj(x1))
     eps = WIENER_EPS_SCALE * max(float((np.abs(x) ** 2).mean()), 1e-300)
-    mix_cov += eps * eye
-    inv_mix = _invert_2x2_hermitian(mix_cov)
+    cov = []
+    mix = (eps, eps, 0.0)  # sum_j v_j R_j + eps I, as (f, t) planes
+    for vj in v:
+        r = (np.ones(f), np.ones(f), np.zeros(f))
+        if not force_identity_covariance:
+            # power-weighted average of the outer products, scaled to
+            # trace 2: the average's denominator sum_t v_j cancels. The
+            # identity where the trace is 0 (no power or no mixture at f)
+            num = [np.einsum("ft,ft->f", vj, o) for o in outer]
+            trace = num[0] + num[1]
+            ok = trace > 0
+            scale = 2.0 / np.where(ok, trace, 1.0)
+            r = tuple(np.where(ok, m * scale, e) for m, e in zip(num, r))
+        r = tuple(m[:, None] for m in r)
+        cov.append(r)
+        mix = tuple(s + vj * m for s, m in zip(mix, r))
 
-    out = {}
-    for j, n in enumerate(names):
-        wj = v[j][..., None, None] * (cov[j][:, None, :, :] @ inv_mix)
-        yj = (wj @ xt[..., :, None])[..., 0]  # (f, t, 2)
-        out[n] = yj.transpose(2, 0, 1)
-    return out
+    # z = mix^-1 x through the real determinant, shared by every source
+    s00, s11, s01 = mix
+    det = s00 * s11 - np.abs(s01) ** 2
+    z0 = (s11 * x0 - s01 * x1) / det
+    z1 = (s00 * x1 - np.conj(s01) * x0) / det
+    return {n: np.stack([vj * (r00 * z0 + r01 * z1), vj * (np.conj(r01) * z0 + r11 * z1)])
+            for n, vj, (r00, r11, r01) in zip(names, v, cov)}
 
 
 def _check_blend(names_a, names_b, weight):
@@ -212,14 +198,16 @@ def separate_track(models: dict, clip: AudioClip, wiener=True,
 
     Raises SeparationError, before any model runs, when models is
     empty, blend_weight lies outside [0, 1], the blend covers other
-    sources, or the models disagree on FFT size, sample rate or channel
-    count.
+    sources, the models disagree on FFT size, sample rate or channel
+    count, or the mixture holds a non-finite sample.
     """
     if not models:
         raise SeparationError("no source models given")
     if blend_with is not None:
         _check_blend(models, blend_with, blend_weight)
     arch = _input_arch(models, blend_with)
+    if not np.all(np.isfinite(clip.samples)):
+        raise SeparationError("non-finite samples in the mixture")
     warn_if_unexpected_rate(clip, expected=arch.sample_rate)
     spec = stft(clip, fft_size=arch.fft_size)
     mags = estimate_magnitudes(models, spec)

@@ -15,6 +15,7 @@ import pytest
 
 import stemsep.autodiff as ad
 from closed_forms import lstm_block_param_count
+from gradcheck import grad_check
 from stemsep import arch, dsp, evaluation
 from stemsep.arch import (
     BandPlan,
@@ -93,7 +94,7 @@ def test_criterion_1_gradients():
         params = [("x", x), ("w", w), ("b", b), ("gamma", gamma),
                   ("beta", beta), ("up_w", up_w), ("up_b", up_b),
                   ("lw", lw), ("lb", lb)]
-        rep = ad.grad_check(build, params, tol=1e-4, rng=rng, max_entries=3)
+        rep = grad_check(build, params, tol=1e-4, rng=rng, max_entries=3)
         ok = ok and rep["passed"]
 
     # reduced end-to-end model, one probed coordinate per parameter
@@ -108,8 +109,8 @@ def test_criterion_1_gradients():
 
     # small probe step keeps the central difference inside one piecewise
     # linear region of the rectifier network
-    rep = ad.grad_check(build_e2e, list(model.named_params()), step=1e-6,
-                        tol=1e-3, rng=rng, max_entries=1, shrink_retries=2)
+    rep = grad_check(build_e2e, list(model.named_params()), step=1e-6,
+                     tol=1e-3, rng=rng, max_entries=1, shrink_retries=2)
     elapsed = time.time() - start
     ok = ok and rep["passed"] and elapsed < 300
     report(1, ok, "end-to-end max rel err %.2g, %.0fs" %

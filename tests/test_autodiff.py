@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from stemsep import autodiff as ad
 from stemsep.layers import BiLSTM, BatchNorm2d, Conv2d
 
@@ -163,7 +164,7 @@ def test_conv2d_grad_check():
     def build():
         return ad.tmean(ad.mul(ad.conv2d(x, w, b), ad.conv2d(x, w, b)))
 
-    report = ad.grad_check(build, [("x", x), ("w", w), ("b", b)], rng=rng, max_entries=8)
+    report = grad_check(build, [("x", x), ("w", w), ("b", b)], rng=rng, max_entries=8)
     assert report["passed"], report
 
 
@@ -356,7 +357,7 @@ def test_pool_and_upsample_grad_check():
         return ad.tmean(ad.mul(ad.conv_transpose2(ad.avg_pool2(x), w, b),
                                ad.conv_transpose2(ad.avg_pool2(x), w, b)))
 
-    report = ad.grad_check(build, [("x", x), ("w", w), ("b", b)], rng=rng, max_entries=8)
+    report = grad_check(build, [("x", x), ("w", w), ("b", b)], rng=rng, max_entries=8)
     assert report["passed"], report
 
 
@@ -391,7 +392,7 @@ def test_batch_norm_grad_check():
         y, _, _ = ad.batch_norm_train(x, gamma, beta)
         return ad.tmean(ad.mul(y, y))
 
-    report = ad.grad_check(
+    report = grad_check(
         build, [("x", x), ("gamma", gamma), ("beta", beta)], rng=rng, max_entries=10
     )
     assert report["passed"], report
@@ -460,8 +461,8 @@ def test_batch_norm_relu_eval_grad_check():
         y = ad.conv2d(h, w, b, padding="valid")
         return ad.tmean(ad.mul(y, y))
 
-    report = ad.grad_check(build, [("x", x), ("gamma", gamma), ("beta", beta)],
-                           rng=rng, max_entries=10, shrink_retries=2)
+    report = grad_check(build, [("x", x), ("gamma", gamma), ("beta", beta)],
+                        rng=rng, max_entries=10, shrink_retries=2)
     assert report["passed"], report
 
 
@@ -556,8 +557,8 @@ def test_batch_norm_relu_train_grad_check():
         y = ad.conv2d(h, w, b, padding="valid")
         return ad.tmean(ad.mul(y, y))
 
-    report = ad.grad_check(build, [("x", x), ("gamma", gamma), ("beta", beta)],
-                           rng=rng, max_entries=10, shrink_retries=2)
+    report = grad_check(build, [("x", x), ("gamma", gamma), ("beta", beta)],
+                        rng=rng, max_entries=10, shrink_retries=2)
     assert report["passed"], report
 
 
@@ -578,7 +579,7 @@ def test_relu_basic_and_grad():
     def build():
         return ad.tsum(ad.mul(ad.relu(p), ad.relu(p)))
 
-    report = ad.grad_check(build, [("p", p)], rng=rng, max_entries=12)
+    report = grad_check(build, [("p", p)], rng=rng, max_entries=12)
     assert report["passed"], report
 
 
@@ -617,7 +618,7 @@ def test_concat_channels_order_and_grad():
         cat = ad.concat([a, b], axis=0)
         return ad.tsum(ad.mul(cat, cat))
 
-    report = ad.grad_check(build, [("a", a), ("b", b)], rng=rng, max_entries=8)
+    report = grad_check(build, [("a", a), ("b", b)], rng=rng, max_entries=8)
     assert report["passed"], report
 
     with pytest.raises(ad.ShapeError):
@@ -687,7 +688,7 @@ def test_composite_conv_bn_relu_grad():
         y, _, _ = ad.batch_norm_train(y, gamma, beta)
         return ad.tmean(ad.relu(y))
 
-    report = ad.grad_check(
+    report = grad_check(
         build, [("w", w), ("b", b), ("gamma", gamma), ("beta", beta)], rng=rng
     )
     assert report["passed"], report
@@ -705,7 +706,7 @@ def test_grad_check_negative_control():
             return ad.tsum(ad.mul(x, x))
         return ad.scale(ad.tsum(ad.mul(x, x)), 3.0)
 
-    report = ad.grad_check(build, [("x", x)])
+    report = grad_check(build, [("x", x)])
     assert not report["passed"]
 
 
@@ -767,7 +768,7 @@ def test_bilstm_grad_check():
         y = lstm(x)
         return ad.tmean(ad.mul(y, y))
 
-    report = ad.grad_check(
+    report = grad_check(
         build, list(lstm.named_params()), tol=1e-4, rng=rng, max_entries=6
     )
     assert report["passed"], report
@@ -838,5 +839,5 @@ def test_ops_grad_check_many_seeds(seed):
 
     params = [("x", x), ("w", w), ("b", b), ("gamma", gamma),
               ("beta", beta), ("up_w", up_w), ("up_b", up_b)]
-    report = ad.grad_check(build, params, tol=1e-4, rng=rng, max_entries=4)
+    report = grad_check(build, params, tol=1e-4, rng=rng, max_entries=4)
     assert report["passed"], report

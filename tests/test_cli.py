@@ -403,6 +403,41 @@ def test_separate_fails_before_any_model_runs(tmp_path, data_dir, forward_calls,
     assert forward_calls == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_separate_rejects_non_finite_mixture(tmp_path, data_dir, forward_calls, capsys, bad):
+    """A NaN or inf sample fails before the STFT, names the mixture, and
+    exits 5 without running a model or raising a numpy warning."""
+    import warnings
+
+    clip = read_wav(os.path.join(data_dir, "track00", "mixture.wav"))
+    clip.samples[1, 100] = bad
+    mixture = tmp_path / "bad.wav"
+    write_wav(str(mixture), clip)
+    ckpt = _save_toy(tmp_path / "vocals.ckpt", 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["separate", str(mixture), "--checkpoints", ckpt,
+                       "--out", str(tmp_path / "out")])
+    assert rc == 5
+    assert forward_calls == []
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "non-finite samples in the mixture" in capsys.readouterr().err
+
+
+def test_separate_reads_8bit_mixture(tmp_path, data_dir):
+    from scipy.io import wavfile
+
+    clip = read_wav(os.path.join(data_dir, "track00", "mixture.wav"))
+    pcm = np.clip(np.round(clip.samples.T * 128.0 + 128.0), 0, 255).astype(np.uint8)
+    mixture = tmp_path / "u8.wav"
+    wavfile.write(mixture, clip.sample_rate, pcm)
+    ckpt = _save_toy(tmp_path / "vocals.ckpt", 1)
+    out = tmp_path / "out"
+    rc = cli.main(["separate", str(mixture), "--checkpoints", ckpt, "--out", str(out)])
+    assert rc == 0
+    assert read_wav(out / "vocals.wav").samples.shape == clip.samples.shape
+
+
 def _library_wavs(tmp_path, models, clip, **kwargs):
     from stemsep.dsp import write_wav
     from stemsep.separation import separate_track

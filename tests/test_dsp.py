@@ -108,6 +108,18 @@ def test_wav_round_trip(tmp_path, dtype):
     np.testing.assert_allclose(back.samples, x, atol=tol)
 
 
+def test_read_wav_unsigned_8bit(tmp_path):
+    from scipy.io import wavfile
+
+    data = np.array([[0, 255], [64, 128], [128, 192], [255, 1]], dtype=np.uint8)
+    path = tmp_path / "u8.wav"
+    wavfile.write(path, 8000, data)
+    clip = dsp.read_wav(path)
+    assert clip.sample_rate == 8000
+    expected = np.array([[-1.0, -0.5, 0.0, 127 / 128], [127 / 128, 0.0, 0.5, -127 / 128]])
+    np.testing.assert_array_equal(clip.samples, expected)
+
+
 def test_unexpected_sample_rate_warns():
     clip = dsp.AudioClip(np.zeros((1, 100)), sample_rate=22050)
     with pytest.warns(UserWarning):

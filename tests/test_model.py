@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -341,6 +342,33 @@ def test_forward_deterministic_in_eval_mode():
         a = m.forward(x).data
         b = m.forward(x).data
     np.testing.assert_array_equal(a, b)
+
+
+def test_full_band_buffer_is_freed_before_the_final_block():
+    """Under no_grad, the full band's output views its last dense block's
+    whole channel buffer. Nothing holds that buffer once the final block
+    starts. The full band and final forwards are shadowed, as
+    feature_map_norms does, to watch the buffer and test it."""
+    spec = toy_arch()
+    m = SeparationModel(spec, seed=21)
+    m.set_training(False)
+    full_forward, final_forward = m.full_net.forward, m.final.forward
+    buffers, alive_at_final = [], []
+
+    def full(x):
+        y = full_forward(x)
+        buffers.append(weakref.ref(y.data.base))
+        return y
+
+    def final(x):
+        alive_at_final.append(buffers[-1]() is not None)
+        return final_forward(x)
+
+    m.full_net.forward, m.final.forward = full, final
+    x = np.abs(RNG(22).standard_normal((2, spec.num_bins, 8)))
+    with ad.no_grad():
+        m.forward(x)
+    assert alive_at_final == [False]
 
 
 def test_forward_is_nonlinear_in_magnitude():

@@ -128,6 +128,133 @@ def test_wiener_identity_covariance_reduces_to_soft_mask():
         np.testing.assert_allclose(out[n], masks[n][None] * x, rtol=1e-5, atol=1e-8)
 
 
+def _invert_2x2_hermitian(m):
+    """Vectorized inverse of (..., 2, 2) Hermitian matrices."""
+    a = m[..., 0, 0]
+    b = m[..., 0, 1]
+    c = m[..., 1, 0]
+    d = m[..., 1, 1]
+    det = a * d - b * c
+    inv = np.empty_like(m)
+    inv[..., 0, 0] = d / det
+    inv[..., 0, 1] = -b / det
+    inv[..., 1, 0] = -c / det
+    inv[..., 1, 1] = a / det
+    return inv
+
+
+def wiener_reference(mixture_stft, estimate_mags: dict,
+                     force_identity_covariance=False) -> dict:
+    """The batched 2x2 matrix form the closed-form filter replaced: it
+    builds (f, t, 2, 2) outer products, mixture covariance, inverse and
+    per-source filters, and multiplies them with stacked @."""
+    x = np.asarray(mixture_stft)
+    if x.ndim != 3 or x.shape[0] != 2:
+        raise SeparationError("expected a stereo (2, f, t) mixture STFT")
+    names = list(estimate_mags)
+    if not names:
+        raise SeparationError("no source estimates given")
+    for n in names:
+        if np.asarray(estimate_mags[n]).shape != x.shape:
+            raise SeparationError("estimate %r shape mismatch" % n)
+
+    _, f, t = x.shape
+    if not np.any(x):
+        return {n: np.zeros_like(x) for n in names}
+    # per-source power: channel mean of squared magnitudes -> (src, f, t)
+    v = np.stack([
+        (np.asarray(estimate_mags[n]) ** 2).mean(axis=0) for n in names
+    ])
+
+    xt = x.transpose(1, 2, 0)  # (f, t, 2)
+    outer = xt[..., :, None] * np.conj(xt[..., None, :])  # (f, t, 2, 2)
+
+    eye = np.eye(2, dtype=complex)
+    cov = np.empty((len(names), f, 2, 2), dtype=complex)
+    if force_identity_covariance:
+        cov[:] = eye
+    else:
+        for j in range(len(names)):
+            w = v[j][..., None, None]  # (f, t, 1, 1)
+            num = (w * outer).sum(axis=1)  # (f, 2, 2)
+            den = v[j].sum(axis=1)[:, None, None]
+            r = np.divide(num, den, out=np.tile(eye, (f, 1, 1)).astype(complex),
+                          where=den > 0)
+            trace = np.real(r[:, 0, 0] + r[:, 1, 1])
+            safe = trace > 0
+            r[safe] *= (2.0 / trace[safe])[:, None, None]
+            r[~safe] = eye
+            cov[j] = r
+
+    # per-bin mix model: sum_k v_k R_k + eps I
+    mix_cov = np.zeros((f, t, 2, 2), dtype=complex)
+    for j in range(len(names)):
+        mix_cov += v[j][..., None, None] * cov[j][:, None, :, :]
+    eps = separation.WIENER_EPS_SCALE * max(float((np.abs(x) ** 2).mean()), 1e-300)
+    mix_cov += eps * eye
+    inv_mix = _invert_2x2_hermitian(mix_cov)
+
+    out = {}
+    for j, n in enumerate(names):
+        wj = v[j][..., None, None] * (cov[j][:, None, :, :] @ inv_mix)
+        yj = (wj @ xt[..., :, None])[..., 0]  # (f, t, 2)
+        out[n] = yj.transpose(2, 0, 1)
+    return out
+
+
+def assert_matches_wiener_reference(x, est, identity, rtol=1e-12):
+    out = multichannel_wiener(x, est, force_identity_covariance=identity)
+    ref = wiener_reference(x, est, force_identity_covariance=identity)
+    assert list(out) == list(ref)
+    scale = max(np.abs(y).max() for y in ref.values())
+    for n in ref:
+        assert out[n].shape == ref[n].shape == x.shape
+        assert np.abs(out[n] - ref[n]).max() <= rtol * scale, n
+
+
+@pytest.mark.parametrize("identity", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("f,t,sources", [(16, 12, 3), (1, 12, 2), (7, 9, 1), (33, 40, 4)])
+def test_wiener_matches_batched_matrix_reference(f, t, sources, dtype, identity):
+    rng = np.random.default_rng(f * 100 + t)
+    x = random_stft(rng, f, t)
+    est = {"s%d" % j: np.abs(random_stft(rng, f, t)).astype(dtype) for j in range(sources)}
+    assert_matches_wiener_reference(x, est, identity)
+
+
+@pytest.mark.parametrize("identity", [False, True])
+def test_wiener_matches_reference_with_silent_source_and_row(identity):
+    rng = np.random.default_rng(8)
+    x = random_stft(rng, 10, 12)
+    x[:, 3, :] = 0.0  # a frequency row where the mixture is zero
+    est = {"a": np.abs(random_stft(rng, 10, 12)), "silent": np.zeros((2, 10, 12)),
+           "b": np.abs(random_stft(rng, 10, 12))}
+    assert_matches_wiener_reference(x, est, identity)
+    out = multichannel_wiener(x, est, force_identity_covariance=identity)
+    np.testing.assert_array_equal(out["silent"], 0.0)
+
+
+@pytest.mark.parametrize("level", [1e-6, 1.0])
+@pytest.mark.parametrize("f", [1, 6])
+def test_wiener_matches_reference_on_one_frame(f, level):
+    """With one frame, every R_j is the same rank-1 matrix 2 x x^H / |x|^2,
+    so the mixture covariance is rank 1 plus eps I, with condition number
+    1 + 2 V / eps (V the summed source power). Both implementations lose
+    about that factor of the working precision in the determinant, so the
+    reference tolerance is scaled by it: estimates at level 1e-6 of the
+    mixture keep it near 1, estimates at the mixture's level make it
+    about 1e10. The identity covariance keeps the plain tolerance."""
+    rng = np.random.default_rng(9)
+    x = random_stft(rng, f, 1)
+    est = {n: level * np.abs(random_stft(rng, f, 1)) for n in ("a", "b")}
+    assert_matches_wiener_reference(x, est, identity=True)
+    eps = separation.WIENER_EPS_SCALE * float((np.abs(x) ** 2).mean())
+    power = sum((m ** 2).mean(axis=0) for m in est.values())
+    cond = 1 + 2 * power.max() / eps
+    assert cond < 1.1 if level < 1 else cond > 1e9
+    assert_matches_wiener_reference(x, est, identity=False, rtol=1e-12 * cond)
+
+
 def test_wiener_rejects_bad_input():
     rng = np.random.default_rng(5)
     x = random_stft(rng)
