@@ -1,12 +1,13 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-Implements exactly the operation set the separation model needs: 2-D
-convolution, batch normalization (plus train- and eval-mode BN + ReLU
-fused into a zero-bordered map, and an inference-only BN + ReLU + conv
-that builds that map one row block at a time), ReLU/sigmoid/tanh, 2x2
+Implements exactly the operation set the separation model needs:
+same-padded 2-D convolution, batch normalization (plus BN + ReLU fused
+into one pass, and an inference-only BN + ReLU + conv that fills the
+conv's zero-bordered row tile with that map), ReLU/sigmoid/tanh, 2x2
 average pooling, stride-2 transposed convolution, affine maps,
-concatenation, slicing and the usual elementwise/reduction glue. Each operation records a backward
-closure; `Tensor.backward()` runs a reverse topological sweep.
+concatenation, slicing and the usual elementwise/reduction glue. Each
+operation records a backward closure; `Tensor.backward()` runs a
+reverse topological sweep.
 
 Conventions:
   * feature maps are (channels, frequency, time), row-major
@@ -330,7 +331,7 @@ def affine(x, weight, bias):
 CONV_TILE_BYTES = 4 << 20  # size of the tap array of one row block in conv2d's forward
 
 
-def _conv_setup(x, weight, bias, padding, out):
+def _conv_setup(x, weight, bias, out):
     """Check conv2d's operands; return (ph, pw, out_data)."""
     if x.ndim != 3 or weight.ndim != 4:
         raise ShapeError("conv2d: x %r, weight %r" % (x.shape, weight.shape))
@@ -339,25 +340,39 @@ def _conv_setup(x, weight, bias, padding, out):
         raise ShapeError("conv2d: input channels %d, kernel expects %d" % (x.shape[0], c_in))
     if bias.shape != (c_out,):
         raise ShapeError("conv2d: bias %r for %d output channels" % (bias.shape, c_out))
-    if padding == "same":
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ShapeError("conv2d: same-padding requires odd kernel dims, got %dx%d" % (kh, kw))
-        ph, pw = kh // 2, kw // 2
-    elif padding == "valid":
-        ph = pw = 0
-    else:
-        raise ShapeError("conv2d: unknown padding %r" % (padding,))
-
-    _, f, t = x.shape
-    fo, to = f + 2 * ph - kh + 1, t + 2 * pw - kw + 1
-    if fo < 1 or to < 1:
-        raise ShapeError("conv2d: input %r too small for %dx%d valid kernel" % (x.shape, kh, kw))
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError("conv2d: same-padding requires odd kernel dims, got %dx%d" % (kh, kw))
+    shape = (c_out,) + x.shape[1:]
     if out is None:
-        return ph, pw, np.empty((c_out, fo, to), dtype=x.data.dtype)
-    if out.shape != (c_out, fo, to) or out.dtype != x.data.dtype:
+        return kh // 2, kw // 2, np.empty(shape, dtype=x.data.dtype)
+    if out.shape != shape or out.dtype != x.data.dtype:
         raise ShapeError("conv2d: out %r %s, expected %r %s"
-                         % (out.shape, out.dtype, (c_out, fo, to), x.data.dtype))
-    return ph, pw, out
+                         % (out.shape, out.dtype, shape, x.data.dtype))
+    return kh // 2, kw // 2, out
+
+
+def _padded_rows(fill, x, ph, pw):
+    """read_rows for _conv_forward over the (c, f, t) array x bordered by
+    ph zero rows and pw zero columns. Each call builds rows [lo, hi) of
+    the bordered input in one reused tile, sized by the first (tallest)
+    call: fill(dst, src) writes rows src of x, or a map of them, into dst
+    inside the zero border. The whole bordered input never exists
+    (Pleiss et al. 2017, arXiv:1707.06990)."""
+    c, f, t = x.shape
+    tile = None
+
+    def read_rows(lo, hi):
+        nonlocal tile
+        if tile is None:
+            tile = np.zeros((c, hi - lo, t + 2 * pw), dtype=x.dtype)
+        rows = tile[:, :hi - lo]
+        a, b = max(lo, ph), min(hi, ph + f)  # the bordered rows that hold rows of x
+        rows[:, :a - lo] = 0
+        rows[:, b - lo:] = 0
+        fill(rows[:, a - lo:b - lo, pw:pw + t], x[:, a - ph:b - ph])
+        return rows
+
+    return read_rows
 
 
 def _conv_forward(read_rows, w, bias, out):
@@ -388,49 +403,53 @@ def _conv_forward(read_rows, w, bias, out):
                 block += taps[di, dj, :, di:di + n, dj:dj + to]
 
 
-def conv2d(x, weight, bias, padding="same", out=None):
-    """Cross-correlation of a (c_in, f, t) map with (c_out, c_in, kh, kw).
+def _tap_span(s, n):
+    """(dst, src) slices putting src[i] at dst[i + s], both in [0, n)."""
+    lo, hi = max(s, 0), max(n + min(s, 0), s, 0)
+    return slice(lo, hi), slice(lo - s, hi - s)
 
-    out, when given, is the (c_out, fo, to) array the result is written
+
+def conv2d(x, weight, bias, out=None):
+    """Same-padded cross-correlation of a (c_in, f, t) map with
+    (c_out, c_in, kh, kw), kh and kw odd.
+
+    out, when given, is the (c_out, f, t) array the result is written
     into (e.g. a slot of a dense block's channel buffer); the returned
     tensor's data is that array.
 
     The forward runs in blocks of output rows (_conv_forward): one GEMM
-    per block against the padded input's rows, viewed in place, then a
-    shifted sum of the taps. Only one block's taps exist at a time.
+    per block against its input rows, copied into a reused zero-bordered
+    tile (_padded_rows), then a shifted sum of the taps. No padded copy
+    of x is made.
 
     The backward is two GEMMs over one tap-shifted gradient (convolution
     as a few large GEMMs, Chellapilla, Puri & Simard 2006). `shifted` is
-    a zero (kh*kw*c_out, fp*tp) array on the padded (fp, tp) grid whose
-    row block (di, dj) holds g placed at offset (di, dj). Then the weight
-    gradient is shifted @ xp.T, which reads the padded input in place
-    with no window copies, and the padded input gradient is w9.T @
-    shifted with w9 the (kh*kw*c_out, c_in) tap-major kernel; same
-    padding slices its interior out.
+    a zero (kh*kw*c_out, f*t) array whose row block (di, dj) holds g
+    where that tap's input sits, clipped at the edges. Then the weight
+    gradient is shifted @ x.T, and the input gradient is w9.T @ shifted
+    with w9 the (kh*kw*c_out, c_in) tap-major kernel.
     """
-    ph, pw, out_data = _conv_setup(x, weight, bias, padding, out)
+    ph, pw, out_data = _conv_setup(x, weight, bias, out)
     c_out, c_in, kh, kw = weight.shape
     _, f, t = x.shape
-    _, fo, to = out_data.shape
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
     w = weight.data
-    _conv_forward(lambda lo, hi: xp[:, lo:hi], w, bias.data, out_data)
+    _conv_forward(_padded_rows(np.copyto, x.data, ph, pw), w, bias.data, out_data)
     _check_finite(out_data, "conv2d")
 
     def backward(g):
-        fp, tp = xp.shape[1:]
         if x.requires_grad or weight.requires_grad:
-            shifted = np.zeros((kh, kw, c_out, fp, tp), dtype=g.dtype)
+            shifted = np.zeros((kh, kw, c_out, f, t), dtype=g.dtype)
             for di in range(kh):
+                rows, g_rows = _tap_span(di - ph, f)
                 for dj in range(kw):
-                    shifted[di, dj, :, di:di + fo, dj:dj + to] = g
-            shifted = shifted.reshape(kh * kw * c_out, fp * tp)
+                    cols, g_cols = _tap_span(dj - pw, t)
+                    shifted[di, dj, :, rows, cols] = g[:, g_rows, g_cols]
+            shifted = shifted.reshape(kh * kw * c_out, f * t)
         if x.requires_grad:
             w9 = w.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
-            gxp = (w9.T @ shifted).reshape(c_in, fp, tp)
-            x._accumulate(gxp[:, ph:ph + f, pw:pw + t] if (ph or pw) else gxp)
+            x._accumulate((w9.T @ shifted).reshape(c_in, f, t))
         if weight.requires_grad:
-            gw = shifted @ xp.reshape(c_in, fp * tp).T
+            gw = shifted @ x.data.reshape(c_in, f * t).T
             weight._accumulate(gw.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=(1, 2)))
@@ -550,27 +569,23 @@ def batch_norm_train(x, gamma, beta):
     return _make(out_data, (x, gamma, beta), backward), mean, var
 
 
-def batch_norm_relu_train(x, gamma, beta, halo):
-    """relu(batch_norm_train(x)) written into a zero halo.
+def _affine_relu(src, scale_c, shift_c, out):
+    """out = max(src * scale_c + shift_c, 0) per channel, in place."""
+    np.multiply(src, scale_c[:, None, None], out=out)
+    out += shift_c[:, None, None]
+    np.maximum(out, 0, out=out)
+    return out
 
-    The train-mode twin of batch_norm_relu_eval: the result is
-    (c, f + 2*ph, t + 2*pw) for halo = (ph, pw), its interior holds
-    max(gamma*xhat + beta, 0) and its border is zero. Returns
-    (out, batch_mean, batch_var), bitwise equal to np.pad of the unfused
-    ops, gradients included; the caller owns running-stat bookkeeping.
-    """
+
+def batch_norm_relu_train(x, gamma, beta):
+    """relu(batch_norm_train(x)) in one pass, bitwise equal to the
+    unfused ops, gradients included. Returns (out, batch_mean,
+    batch_var); the caller owns running-stat bookkeeping."""
     mean, var, inv_std, xhat = _train_stats(x, gamma, beta)
-    c, f, t = x.shape
-    ph, pw = halo
-    out_data = np.zeros((c, f + 2 * ph, t + 2 * pw), dtype=x.data.dtype)
-    inner = out_data[:, ph:ph + f, pw:pw + t]
-    np.multiply(xhat, gamma.data[:, None, None], out=inner)
-    inner += beta.data[:, None, None]
-    np.maximum(inner, 0, out=inner)
+    out_data = _affine_relu(xhat, gamma.data, beta.data, np.empty_like(xhat))
 
     def backward(g):
-        g_inner = g[:, ph:ph + f, pw:pw + t] * (inner > 0)
-        _train_backward(g_inner, x, gamma, beta, inv_std, xhat)
+        _train_backward(g * (out_data > 0), x, gamma, beta, inv_std, xhat)
 
     return _make(out_data, (x, gamma, beta), backward), mean, var
 
@@ -610,65 +625,35 @@ def batch_norm_eval(x, gamma, beta, running_mean, running_var):
     return _make(out_data, (x, gamma, beta), backward)
 
 
-def batch_norm_relu_eval(x, gamma, beta, running_mean, running_var, halo):
-    """relu(batch_norm_eval(x)) written into a zero halo.
-
-    The result is (c, f + 2*ph, t + 2*pw) for halo = (ph, pw): the
-    interior holds max(x*scale + shift, 0) and the border is zero, so a
-    following conv2d(..., padding="valid") equals a same-padded one on
-    the unpadded map, without np.pad. The affine map and the ReLU run
-    in place in the interior, with no temporaries. Differentiable
-    w.r.t. x, gamma and beta.
-    """
+def batch_norm_relu_eval(x, gamma, beta, running_mean, running_var):
+    """relu(batch_norm_eval(x)) in one pass, bitwise equal to the
+    unfused ops. Differentiable w.r.t. x, gamma and beta."""
     inv_std, scale_c, shift_c = _eval_affine(x, gamma, beta, running_mean, running_var)
-    c, f, t = x.shape
-    ph, pw = halo
-    out_data = np.zeros((c, f + 2 * ph, t + 2 * pw), dtype=x.data.dtype)
-    inner = out_data[:, ph:ph + f, pw:pw + t]
-    np.multiply(x.data, scale_c[:, None, None], out=inner)
-    inner += shift_c[:, None, None]
-    np.maximum(inner, 0, out=inner)
+    out_data = _affine_relu(x.data, scale_c, shift_c, np.empty_like(x.data))
 
     def backward(g):
-        g_inner = g[:, ph:ph + f, pw:pw + t] * (inner > 0)
-        _eval_affine_backward(g_inner, x, gamma, beta, running_mean, inv_std, scale_c)
+        _eval_affine_backward(g * (out_data > 0), x, gamma, beta, running_mean, inv_std,
+                              scale_c)
 
     return _make(out_data, (x, gamma, beta), backward)
 
 
 def batch_norm_relu_conv2d_eval(x, gamma, beta, running_mean, running_var, weight, bias,
                                 out=None):
-    """conv2d(batch_norm_relu_eval(x, ..., halo), weight, bias, "valid",
-    out) with halo = (kh // 2, kw // 2), for inference.
+    """conv2d(batch_norm_relu_eval(x, ...), weight, bias, out), for
+    inference.
 
-    The BN+ReLU map is made one row block at a time, as _conv_forward
-    asks for its rows, in one reused zero-bordered tile; the whole halo
-    map is never built (the memory-efficient DenseNet idea, Pleiss et
-    al. 2017, arXiv:1707.06990). Bitwise equal to the two ops. It records
-    no graph, so it runs only with graph recording off.
+    conv2d's zero-bordered row tile (_padded_rows) is filled with the
+    BN+ReLU map of x instead of a copy of x, so that map is made one row
+    block at a time and never whole. Bitwise equal to the two ops. It
+    records no graph, so it runs only with graph recording off.
     """
     if _grad_enabled:
         raise GraphError("batch_norm_relu_conv2d_eval records no graph; run it under no_grad")
     _, scale_c, shift_c = _eval_affine(x, gamma, beta, running_mean, running_var)
-    ph, pw, out_data = _conv_setup(x, weight, bias, "same", out)
-    c, f, t = x.shape
-    scale_c, shift_c = scale_c[:, None, None], shift_c[:, None, None]
-    tile = None
-
-    def read_rows(lo, hi):
-        nonlocal tile
-        if tile is None:  # the first block is the tallest; the border columns stay zero
-            tile = np.zeros((c, hi - lo, t + 2 * pw), dtype=x.data.dtype)
-        rows = tile[:, :hi - lo]
-        a, b = max(lo, ph), min(hi, ph + f)  # the padded rows that hold rows of x
-        rows[:, :a - lo] = 0
-        rows[:, b - lo:] = 0
-        inner = rows[:, a - lo:b - lo, pw:pw + t]
-        np.multiply(x.data[:, a - ph:b - ph], scale_c, out=inner)
-        inner += shift_c
-        np.maximum(inner, 0, out=inner)
-        return rows
-
+    ph, pw, out_data = _conv_setup(x, weight, bias, out)
+    read_rows = _padded_rows(lambda dst, src: _affine_relu(src, scale_c, shift_c, dst),
+                             x.data, ph, pw)
     _conv_forward(read_rows, weight.data, bias.data, out_data)
     _check_finite(out_data, "conv2d")
     return Tensor(out_data)

@@ -89,7 +89,7 @@ class Conv2d(Module):
         self.bias = self.add_param("bias", np.zeros(c_out, dtype=DEFAULT_DTYPE))
 
     def forward(self, x):
-        return ad.conv2d(x, self.weight, self.bias, padding="same")
+        return ad.conv2d(x, self.weight, self.bias)
 
 
 class ConvTranspose2x2(Module):
@@ -108,8 +108,7 @@ class ConvTranspose2x2(Module):
 
 
 class BatchNorm2d(Module):
-    """Batch norm followed by ReLU, written into the interior of a zero
-    halo of (ph, pw) (the default (0, 0) gives the unpadded map).
+    """Batch norm followed by ReLU, as one fused op.
 
     Training mode normalizes with the batch statistics through
     autodiff.batch_norm_relu_train and folds them into the running
@@ -126,11 +125,11 @@ class BatchNorm2d(Module):
         self.add_buffer("running_mean", np.zeros(channels, dtype=DEFAULT_DTYPE))
         self.add_buffer("running_var", np.ones(channels, dtype=DEFAULT_DTYPE))
 
-    def forward(self, x, halo=(0, 0)):
+    def forward(self, x):
         running_mean, running_var = self._buffers["running_mean"], self._buffers["running_var"]
         if not self.training:
-            return ad.batch_norm_relu_eval(x, self.gamma, self.beta, running_mean, running_var, halo)
-        out, mean, var = ad.batch_norm_relu_train(x, self.gamma, self.beta, halo)
+            return ad.batch_norm_relu_eval(x, self.gamma, self.beta, running_mean, running_var)
+        out, mean, var = ad.batch_norm_relu_train(x, self.gamma, self.beta)
         m = self.momentum
         running_mean *= 1.0 - m
         running_mean += m * mean

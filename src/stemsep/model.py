@@ -18,11 +18,10 @@ Conventions:
     and inference share this path; with grad on, each prefix is a
     concat_view whose backward is concat's
   * when a graph is recorded, a dense layer's BN and ReLU run as one
-    fused pass that writes into the interior of a zero-bordered map, and
-    its conv runs with valid padding on that map instead of padding a
-    copy. For inference (eval mode under no_grad) BN, ReLU and the conv
-    are one op that writes that map one block of frequency rows at a
-    time into a reused tile, so no layer's full-size BN+ReLU map exists
+    fused pass and its conv reads the BN+ReLU map. For inference (eval
+    mode under no_grad) BN, ReLU and the conv are one op that writes
+    that map one block of frequency rows at a time into the conv's
+    reused zero-bordered tile, so no layer's full-size BN+ReLU map exists
   * an LSTM block produces a single feature map; the combination mode
     decides where it is concatenated (Sa: after the dense block, Sb:
     onto the slot input before the dense block, P: next to the dense
@@ -43,14 +42,13 @@ from .layers import BiLSTM, BatchNorm2d, Conv2d, ConvTranspose2x2, Linear, Modul
 
 
 class DenseLayer(Module):
-    """BN -> ReLU -> 3x3 conv with `growth` output maps.
+    """BN -> ReLU -> same-padded 3x3 conv with `growth` output maps.
 
     When a graph is recorded (training, or eval with grad on), BN and
-    ReLU are one fused op that writes into a zero halo of the conv's
-    half kernel size, so the conv needs no padding. In eval mode with no
-    graph, BN, ReLU and the conv are one op that builds that halo map
-    one row block at a time and never whole. out, when given, is the
-    array the conv writes its output into.
+    ReLU are one fused op whose map the conv reads. In eval mode with no
+    graph, BN, ReLU and the conv are one op that builds that map one row
+    block at a time and never whole. out, when given, is the array the
+    conv writes its output into.
     """
 
     def __init__(self, c_in, growth, rng):
@@ -61,8 +59,7 @@ class DenseLayer(Module):
     def forward(self, x, out=None):
         bn, w, b = self.bn, self.conv.weight, self.conv.bias
         if self.training or ad.grad_enabled():  # the backward needs the whole map
-            h = bn(x, (w.shape[2] // 2, w.shape[3] // 2))
-            return ad.conv2d(h, w, b, padding="valid", out=out)
+            return ad.conv2d(bn(x), w, b, out=out)
         return ad.batch_norm_relu_conv2d_eval(
             x, bn.gamma, bn.beta, bn._buffers["running_mean"], bn._buffers["running_var"],
             w, b, out=out)
@@ -218,17 +215,18 @@ class BandNet(Module):
                 "band %s expects %d bins, got %d" % (self.plan.name, self.freq_bins, x.shape[1])
             )
         y = self.stem(x)
-        down_outputs = []
+        skips = []
         down = self.plan.down_slots
         for i, slot_spec in enumerate(down):
             y = self._children[slot_spec.position](y)
-            down_outputs.append(y)
             if i < len(down) - 1:
+                skips.append(y)
                 y = ad.avg_pool2(y)
+        # up slots run u(N-1)..u1, so each pops its own scale's skip; concat
+        # copies it, so without a graph its buffer is freed before the slot runs
         for slot_spec in self.plan.up_slots:
-            s = slot_spec.scale
-            y = self._children["up%d" % s](y)
-            y = ad.concat([y, down_outputs[s - 1]], axis=0)
+            y = self._children["up%d" % slot_spec.scale](y)
+            y = ad.concat([y, skips.pop()], axis=0)
             y = self._children[slot_spec.position](y)
         return y
 

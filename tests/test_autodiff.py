@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ def test_conv2d_1x1_identity():
     x = ad.constant(rand(rng, 1, 5, 6))
     w = ad.constant(np.ones((1, 1, 1, 1)))
     b = ad.constant(np.zeros(1))
-    out = ad.conv2d(x, w, b, padding="same")
+    out = ad.conv2d(x, w, b)
     np.testing.assert_allclose(out.data, x.data)
 
 
@@ -28,7 +30,7 @@ def test_conv2d_allones_3x3_interior():
     x = ad.constant(np.full((1, 6, 6), c))
     w = ad.constant(np.ones((1, 1, 3, 3)))
     b = ad.constant(np.zeros(1))
-    out = ad.conv2d(x, w, b, padding="same")
+    out = ad.conv2d(x, w, b)
     np.testing.assert_allclose(out.data[0, 1:-1, 1:-1], 9 * c)
 
 
@@ -52,13 +54,23 @@ def conv2d_oracle(x, w, b, padding):
     return out
 
 
+def interior(kh, kw, f, t):
+    """The index of a same conv's output pixels whose taps read no zero
+    border: they are the valid conv's output."""
+    return slice(None), slice(kh // 2, f - kh // 2), slice(kw // 2, t - kw // 2)
+
+
 @pytest.mark.parametrize("padding", ["same", "valid"])
 def test_conv2d_matches_nested_loop_oracle(padding):
+    """The whole output against the same oracle; its interior against
+    the valid one."""
     rng = np.random.default_rng(1)
     x = rand(rng, 2, 4, 4)
     w = rand(rng, 3, 2, 3, 3)
     b = rand(rng, 3)
-    out = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b), padding=padding)
+    out = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b))
+    if padding == "valid":
+        out = out[interior(3, 3, 4, 4)]
     expected = conv2d_oracle(x, w, b, padding)
     np.testing.assert_allclose(out.data, expected, rtol=1e-6, atol=1e-12)
 
@@ -85,7 +97,8 @@ def conv2d_grad_oracle(x, w, g, padding):
     return gx, gw, g.sum(axis=(1, 2))
 
 
-# (c_in, c_out, kh, kw, padding, non-contiguous x view)
+# (c_in, c_out, kh, kw, padding, non-contiguous x view); a "valid" case
+# differentiates the interior of the same conv's output
 CONV_GRAD_CASES = [
     (4, 3, 3, 3, "same", False),
     (4, 3, 3, 3, "valid", False),
@@ -94,6 +107,8 @@ CONV_GRAD_CASES = [
     (2, 7, 3, 3, "same", False),  # c_out > c_in, as in a band's stem
     (3, 4, 3, 3, "valid", True),
     (3, 4, 3, 3, "same", True),
+    (3, 2, 5, 5, "same", False),
+    (2, 3, 5, 1, "same", True),
 ]
 
 
@@ -111,7 +126,9 @@ def test_conv2d_backward_matches_nested_loop_oracle(c_in, c_out, kh, kw, padding
     x = ad.parameter(xd)
     w = ad.parameter(rand(rng, c_out, c_in, kh, kw).astype(dtype))
     b = ad.parameter(rand(rng, c_out).astype(dtype))
-    y = ad.conv2d(x, w, b, padding=padding)
+    y = ad.conv2d(x, w, b)
+    if padding == "valid":
+        y = y[interior(kh, kw, *xd.shape[1:])]
     g = rand(rng, *y.shape).astype(dtype)
     ad.tsum(ad.mul(y, ad.constant(g))).backward()
     for got, want in zip((x.grad, w.grad, b.grad), conv2d_grad_oracle(xd, w.data, g, padding)):
@@ -127,7 +144,7 @@ def test_conv2d_shape_errors():
         ad.conv2d(x, w, b)
     w2 = ad.constant(np.zeros((3, 2, 2, 2)))
     with pytest.raises(ad.ShapeError):
-        ad.conv2d(x, w2, b, padding="same")
+        ad.conv2d(x, w2, b)
     w3 = ad.constant(np.zeros((3, 2, 3, 3)))
     with pytest.raises(ad.ShapeError):
         ad.conv2d(x, w3, b, out=np.empty((3, 4, 5)))
@@ -224,12 +241,15 @@ def test_conv2d_row_blocks(monkeypatch):
     assert_conv_close(out, conv2d_oracle(xp, w, b, "valid"), xp, w, b, "valid")
 
 
-# (c_in, c_out, kh, kw, padding)
+# (c_in, c_out, kh, kw, padding); a "valid" case checks the fo-row
+# interior of the same conv's output
 CONV_TILE_CASES = [
     (3, 2, 3, 3, "same"),
     (3, 2, 3, 3, "valid"),
     (4, 3, 1, 1, "same"),
     (2, 5, 3, 1, "valid"),
+    (2, 3, 5, 5, "same"),
+    (3, 2, 5, 1, "same"),
 ]
 
 
@@ -241,13 +261,16 @@ def test_conv2d_row_tiles_match_oracle(monkeypatch, dtype, c_in, c_out, kh, kw, 
     matches the nested-loop oracle and the tensordot forward."""
     ph, pw = (kh // 2, kw // 2) if padding == "same" else (0, 0)
     t = 5
-    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(c_out, kh, kw, t + 2 * pw, dtype))
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(c_out, kh, kw, t + kw - 1, dtype))
     rng = np.random.default_rng(fo)
     x = rand(rng, c_in, fo + kh - 1 - 2 * ph, t).astype(dtype)
     w = rand(rng, c_out, c_in, kh, kw).astype(dtype)
     b = rand(rng, c_out).astype(dtype)
-    got = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b), padding=padding).data
-    assert got.dtype == dtype and got.shape == (c_out, fo, t + 2 * pw - kw + 1)
+    got = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b)).data
+    assert got.dtype == dtype and got.shape == (c_out,) + x.shape[1:]
+    if padding == "valid":
+        got = got[interior(kh, kw, *x.shape[1:])]
+    assert got.shape == (c_out, fo, t + 2 * pw - kw + 1)
     assert_conv_close(got, conv2d_oracle(x, w, b, padding).astype(dtype), x, w, b, padding)
     assert_conv_close(got, conv2d_tensordot_reference(x, w, b, padding), x, w, b, padding)
 
@@ -257,13 +280,32 @@ def test_conv2d_matches_tensordot_at_model_sizes(dtype):
     """A dense layer's shape in a 256-frame fp32 forward: several blocks
     at the default CONV_TILE_BYTES, the last one short."""
     rng = np.random.default_rng(4)
-    x = rand(rng, 40, 73, 258).astype(dtype)
+    x = rand(rng, 40, 71, 256).astype(dtype)
     w = (0.1 * rand(rng, 14, 40, 3, 3)).astype(dtype)
     b = rand(rng, 14).astype(dtype)
     rows = ad.CONV_TILE_BYTES // (9 * 14 * 258 * np.dtype(dtype).itemsize) - 2
     assert 71 % rows and 71 // rows >= 2
-    got = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b), padding="valid").data
-    assert_conv_close(got, conv2d_tensordot_reference(x, w, b, "valid"), x, w, b, "valid")
+    got = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b)).data
+    assert_conv_close(got, conv2d_tensordot_reference(x, w, b, "same"), x, w, b, "same")
+
+
+def test_conv2d_never_builds_its_padded_input(monkeypatch):
+    """A conv2d forward allocates less, at its peak, than the
+    zero-bordered copy of its input, which it reads one row tile at a
+    time. The tile size is set so that the forward takes many blocks."""
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", 64 << 10)
+    rng = np.random.default_rng(5)
+    x = ad.constant(rand(rng, 16, 64, 64))
+    w, b = ad.constant(rand(rng, 4, 16, 3, 3)), ad.constant(rand(rng, 4))
+    padded_bytes = 16 * 66 * 66 * x.data.itemsize
+    tracemalloc.start()
+    try:
+        y = ad.conv2d(x, w, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (4, 64, 64)
+    assert peak < padded_bytes, (peak, padded_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +464,7 @@ def test_batch_norm2d_folds_batch_stats_into_running_stats():
     rng = np.random.default_rng(9)
     bn = BatchNorm2d(2)
     x = ad.constant(rand(rng, 2, 5, 6) * 3.0 + 1.0)
-    bn(x, (1, 1))
+    bn(x)
     np.testing.assert_allclose(bn._buffers["running_mean"], 0.1 * x.data.mean(axis=(1, 2)))
     np.testing.assert_allclose(bn._buffers["running_var"],
                                0.9 + 0.1 * x.data.var(axis=(1, 2)))
@@ -437,15 +479,14 @@ def eval_stats(rng, c, dtype=np.float64):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_batch_norm_relu_eval_matches_unfused_padded(dtype):
+def test_batch_norm_relu_eval_matches_unfused(dtype):
     rng = np.random.default_rng(15)
     x = ad.constant(rand(rng, 3, 5, 7).astype(dtype))
     gamma, beta, mean, var = eval_stats(rng, 3, dtype)
     ref = ad.relu(ad.batch_norm_eval(x, gamma, beta, mean, var)).data
-    for ph, pw in [(1, 1), (0, 0), (2, 1)]:
-        out = ad.batch_norm_relu_eval(x, gamma, beta, mean, var, (ph, pw)).data
-        assert out.dtype == dtype
-        np.testing.assert_array_equal(out, np.pad(ref, ((0, 0), (ph, ph), (pw, pw))))
+    out = ad.batch_norm_relu_eval(x, gamma, beta, mean, var).data
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, ref)
 
 
 def test_batch_norm_relu_eval_grad_check():
@@ -457,8 +498,8 @@ def test_batch_norm_relu_eval_grad_check():
     b = ad.constant(np.zeros(2))
 
     def build():
-        h = ad.batch_norm_relu_eval(x, gamma, beta, mean, var, (1, 1))
-        y = ad.conv2d(h, w, b, padding="valid")
+        h = ad.batch_norm_relu_eval(x, gamma, beta, mean, var)
+        y = ad.conv2d(h, w, b)
         return ad.tmean(ad.mul(y, y))
 
     report = grad_check(build, [("x", x), ("gamma", gamma), ("beta", beta)],
@@ -471,8 +512,8 @@ def test_batch_norm_relu_eval_propagates_nan():
     x = ad.constant(rand(rng, 2, 3, 3))
     gamma, beta, mean, var = eval_stats(rng, 2)
     var[1] = np.nan
-    out = ad.batch_norm_relu_eval(x, gamma, beta, mean, var, (1, 1)).data
-    assert np.all(np.isnan(out[1, 1:-1, 1:-1]))
+    out = ad.batch_norm_relu_eval(x, gamma, beta, mean, var).data
+    assert np.all(np.isnan(out[1]))
     assert np.all(np.isfinite(out[0]))
 
 
@@ -480,19 +521,18 @@ def test_batch_norm_relu_eval_propagates_nan():
 @pytest.mark.parametrize("kh, kw", [(3, 3), (1, 1), (3, 1)])
 @pytest.mark.parametrize("fo", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS + 1])
 def test_batch_norm_relu_conv2d_eval_matches_two_ops(monkeypatch, dtype, kh, kw, fo):
-    """Bitwise equal to conv2d(batch_norm_relu_eval(...), "valid") over
-    every block split, written into out when given."""
+    """Bitwise equal to conv2d(batch_norm_relu_eval(...)) over every
+    block split, written into out when given."""
     c_in, c_out, t = 3, 2, 5
-    halo = (kh // 2, kw // 2)
-    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(c_out, kh, kw, t + 2 * halo[1], dtype))
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(c_out, kh, kw, t + kw - 1, dtype))
     rng = np.random.default_rng(20 + fo)
     x = ad.constant(rand(rng, c_in, fo, t).astype(dtype))
     gamma, beta, mean, var = eval_stats(rng, c_in, dtype)
     w = ad.constant(rand(rng, c_out, c_in, kh, kw).astype(dtype))
     b = ad.constant(rand(rng, c_out).astype(dtype))
     with ad.no_grad():
-        h = ad.batch_norm_relu_eval(x, gamma, beta, mean, var, halo)
-        want = ad.conv2d(h, w, b, padding="valid").data
+        h = ad.batch_norm_relu_eval(x, gamma, beta, mean, var)
+        want = ad.conv2d(h, w, b).data
         buf = np.full((c_out + 2, fo, t), 9.0, dtype=dtype)
         got = ad.batch_norm_relu_conv2d_eval(x, gamma, beta, mean, var, w, b, out=buf[1:-1])
     assert got.data.dtype == dtype and np.shares_memory(got.data, buf)
@@ -515,33 +555,28 @@ def test_batch_norm_relu_conv2d_eval_checks():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_batch_norm_relu_train_matches_unfused_padded(dtype):
+def test_batch_norm_relu_train_matches_unfused(dtype):
     """Outputs, batch statistics and the gradients of x, gamma and beta
-    equal np.pad(relu(batch_norm_train(x))) bit for bit."""
+    equal relu(batch_norm_train(x)) bit for bit."""
     rng = np.random.default_rng(18)
     x = ad.parameter(rand(rng, 3, 5, 7).astype(dtype))
     gamma, beta, _, _ = eval_stats(rng, 3, dtype)
     params = (x, gamma, beta)
-    for ph, pw in [(1, 1), (0, 0), (2, 1)]:
-        # the border of g is arbitrary: the halo is a constant
-        g = rand(rng, 3, 5 + 2 * ph, 7 + 2 * pw).astype(dtype)
-        runs = []
-        for fused in (True, False):
-            for p in params:
-                p.zero_grad()
-            if fused:
-                out, mean, var = ad.batch_norm_relu_train(x, gamma, beta, (ph, pw))
-                ad.tsum(ad.mul(out, ad.constant(g))).backward()
-                out = out.data
-            else:
-                y, mean, var = ad.batch_norm_train(x, gamma, beta)
-                y = ad.relu(y)
-                ad.tsum(ad.mul(y, ad.constant(g[:, ph:ph + 5, pw:pw + 7]))).backward()
-                out = np.pad(y.data, ((0, 0), (ph, ph), (pw, pw)))
-            runs.append([out, mean, var] + [p.grad for p in params])
-        for got, want in zip(*runs):
-            assert got.dtype == dtype
-            np.testing.assert_array_equal(got, want)
+    g = ad.constant(rand(rng, 3, 5, 7).astype(dtype))
+    runs = []
+    for fused in (True, False):
+        for p in params:
+            p.zero_grad()
+        if fused:
+            out, mean, var = ad.batch_norm_relu_train(x, gamma, beta)
+        else:
+            out, mean, var = ad.batch_norm_train(x, gamma, beta)
+            out = ad.relu(out)
+        ad.tsum(ad.mul(out, g)).backward()
+        runs.append([out.data, mean, var] + [p.grad for p in params])
+    for got, want in zip(*runs):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_batch_norm_relu_train_grad_check():
@@ -553,8 +588,8 @@ def test_batch_norm_relu_train_grad_check():
     b = ad.constant(np.zeros(2))
 
     def build():
-        h, _, _ = ad.batch_norm_relu_train(x, gamma, beta, (1, 1))
-        y = ad.conv2d(h, w, b, padding="valid")
+        h, _, _ = ad.batch_norm_relu_train(x, gamma, beta)
+        y = ad.conv2d(h, w, b)
         return ad.tmean(ad.mul(y, y))
 
     report = grad_check(build, [("x", x), ("gamma", gamma), ("beta", beta)],

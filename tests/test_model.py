@@ -371,6 +371,34 @@ def test_full_band_buffer_is_freed_before_the_final_block():
     assert alive_at_final == [False]
 
 
+def test_full_band_skip_buffer_is_freed_before_its_up_slot():
+    """Under no_grad, the full band's d1 output views its dense block's
+    whole channel buffer. Nothing holds that buffer once u1 starts: the
+    up path's concat has copied the skip. d1's and u1's forwards are
+    shadowed, as feature_map_norms does, to watch the buffer and test it."""
+    spec = toy_arch()
+    m = SeparationModel(spec, seed=23)
+    m.set_training(False)
+    d1, u1 = m.full_net._children["d1"], m.full_net._children["u1"]
+    d1_forward, u1_forward = d1.forward, u1.forward
+    buffers, alive_at_u1 = [], []
+
+    def down(x):
+        y = d1_forward(x)
+        buffers.append(weakref.ref(y.data.base))
+        return y
+
+    def up(x):
+        alive_at_u1.append(buffers[-1]() is not None)
+        return u1_forward(x)
+
+    d1.forward, u1.forward = down, up
+    x = np.abs(RNG(24).standard_normal((2, spec.num_bins, 8)))
+    with ad.no_grad():
+        m.forward(x)
+    assert alive_at_u1 == [False]
+
+
 def test_forward_is_nonlinear_in_magnitude():
     spec = toy_arch()
     m = SeparationModel(spec, seed=18)
