@@ -1,13 +1,13 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Implements exactly the operation set the separation model needs:
-same-padded 2-D convolution, batch normalization (plus BN + ReLU fused
-into one pass, and an inference-only BN + ReLU + conv that fills the
-conv's zero-bordered row tile with that map), ReLU/sigmoid/tanh, 2x2
-average pooling, stride-2 transposed convolution, affine maps,
-concatenation, slicing and the usual elementwise/reduction glue. Each
-operation records a backward closure; `Tensor.backward()` runs a
-reverse topological sweep.
+same-padded 2-D convolution, batch normalization, a dense layer's
+BN + ReLU + conv as one op (it fills the conv's zero-bordered row tile
+with the BN+ReLU map, and its backward recomputes that map from its
+input), ReLU/sigmoid/tanh, 2x2 average pooling, stride-2 transposed
+convolution, affine maps, concatenation, slicing and the usual
+elementwise/reduction glue. Each operation records a backward closure;
+`Tensor.backward()` runs a reverse topological sweep.
 
 Conventions:
   * feature maps are (channels, frequency, time), row-major
@@ -27,7 +27,6 @@ __all__ = [
     "NumericError",
     "ShapeError",
     "no_grad",
-    "grad_enabled",
     "constant",
     "parameter",
     "add",
@@ -45,9 +44,7 @@ __all__ = [
     "conv_transpose2",
     "batch_norm_train",
     "batch_norm_eval",
-    "batch_norm_relu_train",
-    "batch_norm_relu_eval",
-    "batch_norm_relu_conv2d_eval",
+    "batch_norm_relu_conv2d",
     "concat",
     "concat_view",
     "getitem",
@@ -68,24 +65,19 @@ class GraphError(RuntimeError):
     """The computation graph is malformed (e.g. contains a cycle)."""
 
 
-_grad_enabled = True
+_recording = True
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording; forward results carry no parents."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    global _recording
+    prev = _recording
+    _recording = False
     try:
         yield
     finally:
-        _grad_enabled = prev
-
-
-def grad_enabled():
-    """Whether ops record a graph (False inside no_grad)."""
-    return _grad_enabled
+        _recording = prev
 
 
 class Tensor:
@@ -176,7 +168,7 @@ def parameter(data):
 
 def _make(data, parents, backward):
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -409,6 +401,37 @@ def _tap_span(s, n):
     return slice(lo, hi), slice(lo - s, hi - s)
 
 
+def _conv_backward(g, xd, weight, bias, need_gx):
+    """conv2d's backward for the output gradient g and the input map xd:
+    two GEMMs over one tap-shifted gradient (convolution as a few large
+    GEMMs, Chellapilla, Puri & Simard 2006). `shifted` is a zero
+    (kh*kw*c_out, f*t) array whose row block (di, dj) holds g where that
+    tap's input sits, clipped at the edges. The weight gradient
+    shifted @ xd.T and the bias gradient are accumulated; the input
+    gradient w9.T @ shifted, w9 the (kh*kw*c_out, c_in) tap-major
+    kernel, is returned when need_gx (else None)."""
+    c_out, c_in, kh, kw = weight.shape
+    _, f, t = xd.shape
+    gx = None
+    if need_gx or weight.requires_grad:
+        shifted = np.zeros((kh, kw, c_out, f, t), dtype=g.dtype)
+        for di in range(kh):
+            rows, g_rows = _tap_span(di - kh // 2, f)
+            for dj in range(kw):
+                cols, g_cols = _tap_span(dj - kw // 2, t)
+                shifted[di, dj, :, rows, cols] = g[:, g_rows, g_cols]
+        shifted = shifted.reshape(kh * kw * c_out, f * t)
+        if need_gx:
+            w9 = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
+            gx = (w9.T @ shifted).reshape(c_in, f, t)
+        if weight.requires_grad:
+            gw = shifted @ xd.reshape(c_in, f * t).T
+            weight._accumulate(gw.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
+    if bias.requires_grad:
+        bias._accumulate(g.sum(axis=(1, 2)))
+    return gx
+
+
 def conv2d(x, weight, bias, out=None):
     """Same-padded cross-correlation of a (c_in, f, t) map with
     (c_out, c_in, kh, kw), kh and kw odd.
@@ -420,39 +443,16 @@ def conv2d(x, weight, bias, out=None):
     The forward runs in blocks of output rows (_conv_forward): one GEMM
     per block against its input rows, copied into a reused zero-bordered
     tile (_padded_rows), then a shifted sum of the taps. No padded copy
-    of x is made.
-
-    The backward is two GEMMs over one tap-shifted gradient (convolution
-    as a few large GEMMs, Chellapilla, Puri & Simard 2006). `shifted` is
-    a zero (kh*kw*c_out, f*t) array whose row block (di, dj) holds g
-    where that tap's input sits, clipped at the edges. Then the weight
-    gradient is shifted @ x.T, and the input gradient is w9.T @ shifted
-    with w9 the (kh*kw*c_out, c_in) tap-major kernel.
+    of x is made. The backward is _conv_backward.
     """
     ph, pw, out_data = _conv_setup(x, weight, bias, out)
-    c_out, c_in, kh, kw = weight.shape
-    _, f, t = x.shape
-    w = weight.data
-    _conv_forward(_padded_rows(np.copyto, x.data, ph, pw), w, bias.data, out_data)
+    _conv_forward(_padded_rows(np.copyto, x.data, ph, pw), weight.data, bias.data, out_data)
     _check_finite(out_data, "conv2d")
 
     def backward(g):
-        if x.requires_grad or weight.requires_grad:
-            shifted = np.zeros((kh, kw, c_out, f, t), dtype=g.dtype)
-            for di in range(kh):
-                rows, g_rows = _tap_span(di - ph, f)
-                for dj in range(kw):
-                    cols, g_cols = _tap_span(dj - pw, t)
-                    shifted[di, dj, :, rows, cols] = g[:, g_rows, g_cols]
-            shifted = shifted.reshape(kh * kw * c_out, f * t)
-        if x.requires_grad:
-            w9 = w.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
-            x._accumulate((w9.T @ shifted).reshape(c_in, f, t))
-        if weight.requires_grad:
-            gw = shifted @ x.data.reshape(c_in, f * t).T
-            weight._accumulate(gw.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
-        if bias.requires_grad:
-            bias._accumulate(g.sum(axis=(1, 2)))
+        gx = _conv_backward(g, x.data, weight, bias, x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx)
 
     return _make(out_data, (x, weight, bias), backward)
 
@@ -523,7 +523,7 @@ BN_EPS = 1e-5  # added to the variance before its square root, in every BN op
 
 
 def _train_stats(x, gamma, beta):
-    """Per-channel (mean, var, inv_std, xhat) of train-mode batch norm."""
+    """Per-channel (mean, var, inv_std) of train-mode batch norm."""
     if x.ndim != 3:
         raise ShapeError("batch_norm: expected (c, f, t), got %r" % (x.shape,))
     c, f, t = x.shape
@@ -533,10 +533,14 @@ def _train_stats(x, gamma, beta):
         raise ShapeError("batch_norm: gamma/beta must be (%d,)" % c)
     mean = x.data.mean(axis=(1, 2))
     var = x.data.var(axis=(1, 2))
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = x.data - mean[:, None, None]
+    return mean, var, 1.0 / np.sqrt(var + BN_EPS)
+
+
+def _standardize(xd, mean, inv_std):
+    """xhat = (xd - mean) * inv_std per channel, in a new array."""
+    xhat = xd - mean[:, None, None]
     xhat *= inv_std[:, None, None]
-    return mean, var, inv_std, xhat
+    return xhat
 
 
 def _train_backward(g, x, gamma, beta, inv_std, xhat):
@@ -560,7 +564,8 @@ def batch_norm_train(x, gamma, beta):
     Returns (out, batch_mean, batch_var); the caller owns running-stat
     bookkeeping. Differentiable w.r.t. x, gamma and beta.
     """
-    mean, var, inv_std, xhat = _train_stats(x, gamma, beta)
+    mean, var, inv_std = _train_stats(x, gamma, beta)
+    xhat = _standardize(x.data, mean, inv_std)
     out_data = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
 
     def backward(g):
@@ -575,19 +580,6 @@ def _affine_relu(src, scale_c, shift_c, out):
     out += shift_c[:, None, None]
     np.maximum(out, 0, out=out)
     return out
-
-
-def batch_norm_relu_train(x, gamma, beta):
-    """relu(batch_norm_train(x)) in one pass, bitwise equal to the
-    unfused ops, gradients included. Returns (out, batch_mean,
-    batch_var); the caller owns running-stat bookkeeping."""
-    mean, var, inv_std, xhat = _train_stats(x, gamma, beta)
-    out_data = _affine_relu(xhat, gamma.data, beta.data, np.empty_like(xhat))
-
-    def backward(g):
-        _train_backward(g * (out_data > 0), x, gamma, beta, inv_std, xhat)
-
-    return _make(out_data, (x, gamma, beta), backward), mean, var
 
 
 def _eval_affine(x, gamma, beta, running_mean, running_var):
@@ -607,8 +599,7 @@ def _eval_affine_backward(g, x, gamma, beta, running_mean, inv_std, scale_c):
     if x.requires_grad:
         x._accumulate(g * scale_c[:, None, None])
     if gamma.requires_grad:
-        xhat = (x.data - running_mean[:, None, None]) * inv_std[:, None, None]
-        gamma._accumulate((g * xhat).sum(axis=(1, 2)))
+        gamma._accumulate((g * _standardize(x.data, running_mean, inv_std)).sum(axis=(1, 2)))
     if beta.requires_grad:
         beta._accumulate(g.sum(axis=(1, 2)))
 
@@ -625,38 +616,47 @@ def batch_norm_eval(x, gamma, beta, running_mean, running_var):
     return _make(out_data, (x, gamma, beta), backward)
 
 
-def batch_norm_relu_eval(x, gamma, beta, running_mean, running_var):
-    """relu(batch_norm_eval(x)) in one pass, bitwise equal to the
-    unfused ops. Differentiable w.r.t. x, gamma and beta."""
-    inv_std, scale_c, shift_c = _eval_affine(x, gamma, beta, running_mean, running_var)
-    out_data = _affine_relu(x.data, scale_c, shift_c, np.empty_like(x.data))
+def batch_norm_relu_conv2d(x, gamma, beta, weight, bias, running=None, out=None):
+    """conv2d(relu(batch_norm(x, gamma, beta)), weight, bias, out), a
+    dense layer, as one op: bitwise equal to those ops, gradients too.
+
+    running=None normalizes with x's batch statistics (train mode),
+    running=(running_mean, running_var) with those (eval mode). Returns
+    (out, mean, var), the statistics used; the running-stat fold is the
+    caller's. The BN+ReLU map fills conv2d's zero-bordered row tile
+    (_padded_rows) one row block at a time and is never whole. The graph
+    keeps x, which a dense block's channel buffer holds anyway, and
+    per-channel statistics; the backward recomputes the map from them
+    (Pleiss et al. 2017, arXiv:1707.06990).
+    """
+    if running is None:
+        mean, var, inv_std = _train_stats(x, gamma, beta)
+
+        def fill(dst, src):  # the tile's rows are strided: work in a contiguous copy
+            xhat = _standardize(src, mean, inv_std)
+            np.copyto(dst, _affine_relu(xhat, gamma.data, beta.data, xhat))
+    else:
+        mean, var = running
+        inv_std, scale_c, shift_c = _eval_affine(x, gamma, beta, mean, var)
+        fill = lambda dst, src: _affine_relu(src, scale_c, shift_c, dst)
+    ph, pw, out_data = _conv_setup(x, weight, bias, out)
+    _conv_forward(_padded_rows(fill, x.data, ph, pw), weight.data, bias.data, out_data)
+    _check_finite(out_data, "conv2d")
 
     def backward(g):
-        _eval_affine_backward(g * (out_data > 0), x, gamma, beta, running_mean, inv_std,
-                              scale_c)
+        if running is None:
+            xhat = _standardize(x.data, mean, inv_std)
+            h = _affine_relu(xhat, gamma.data, beta.data, np.empty_like(xhat))
+        else:
+            h = _affine_relu(x.data, scale_c, shift_c, np.empty_like(x.data))
+        gh = _conv_backward(g, h, weight, bias, True)
+        gh *= h > 0
+        if running is None:
+            _train_backward(gh, x, gamma, beta, inv_std, xhat)
+        else:
+            _eval_affine_backward(gh, x, gamma, beta, mean, inv_std, scale_c)
 
-    return _make(out_data, (x, gamma, beta), backward)
-
-
-def batch_norm_relu_conv2d_eval(x, gamma, beta, running_mean, running_var, weight, bias,
-                                out=None):
-    """conv2d(batch_norm_relu_eval(x, ...), weight, bias, out), for
-    inference.
-
-    conv2d's zero-bordered row tile (_padded_rows) is filled with the
-    BN+ReLU map of x instead of a copy of x, so that map is made one row
-    block at a time and never whole. Bitwise equal to the two ops. It
-    records no graph, so it runs only with graph recording off.
-    """
-    if _grad_enabled:
-        raise GraphError("batch_norm_relu_conv2d_eval records no graph; run it under no_grad")
-    _, scale_c, shift_c = _eval_affine(x, gamma, beta, running_mean, running_var)
-    ph, pw, out_data = _conv_setup(x, weight, bias, out)
-    read_rows = _padded_rows(lambda dst, src: _affine_relu(src, scale_c, shift_c, dst),
-                             x.data, ph, pw)
-    _conv_forward(read_rows, weight.data, bias.data, out_data)
-    _check_finite(out_data, "conv2d")
-    return Tensor(out_data)
+    return _make(out_data, (x, gamma, beta, weight, bias), backward), mean, var
 
 
 # ---------------------------------------------------------------------------

@@ -108,12 +108,10 @@ class ConvTranspose2x2(Module):
 
 
 class BatchNorm2d(Module):
-    """Batch norm followed by ReLU, as one fused op.
-
-    Training mode normalizes with the batch statistics through
-    autodiff.batch_norm_relu_train and folds them into the running
-    statistics; eval mode normalizes with the running statistics through
-    autodiff.batch_norm_relu_eval.
+    """A dense layer's batch-norm parameters (gamma, beta) and running
+    statistics. DenseLayer applies them, with its ReLU and conv, through
+    autodiff.batch_norm_relu_conv2d, and in training folds each batch's
+    statistics into the running ones with weight `momentum`.
     """
 
     momentum = 0.1  # weight of the batch statistics in the running ones
@@ -124,18 +122,6 @@ class BatchNorm2d(Module):
         self.beta = self.add_param("beta", np.zeros(channels, dtype=DEFAULT_DTYPE))
         self.add_buffer("running_mean", np.zeros(channels, dtype=DEFAULT_DTYPE))
         self.add_buffer("running_var", np.ones(channels, dtype=DEFAULT_DTYPE))
-
-    def forward(self, x):
-        running_mean, running_var = self._buffers["running_mean"], self._buffers["running_var"]
-        if not self.training:
-            return ad.batch_norm_relu_eval(x, self.gamma, self.beta, running_mean, running_var)
-        out, mean, var = ad.batch_norm_relu_train(x, self.gamma, self.beta)
-        m = self.momentum
-        running_mean *= 1.0 - m
-        running_mean += m * mean
-        running_var *= 1.0 - m
-        running_var += m * var
-        return out
 
 
 class Linear(Module):

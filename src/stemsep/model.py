@@ -17,11 +17,11 @@ Conventions:
     arXiv:1707.06990). The block returns the view buf[c_in:]. Training
     and inference share this path; with grad on, each prefix is a
     concat_view whose backward is concat's
-  * when a graph is recorded, a dense layer's BN and ReLU run as one
-    fused pass and its conv reads the BN+ReLU map. For inference (eval
-    mode under no_grad) BN, ReLU and the conv are one op that writes
-    that map one block of frequency rows at a time into the conv's
-    reused zero-bordered tile, so no layer's full-size BN+ReLU map exists
+  * a dense layer's BN, ReLU and conv are one op in every mode: it
+    writes the BN+ReLU map one block of frequency rows at a time into
+    the conv's reused zero-bordered tile, and its backward recomputes
+    that map from the layer input, so no layer's full-size BN+ReLU map
+    exists outside a backward
   * an LSTM block produces a single feature map; the combination mode
     decides where it is concatenated (Sa: after the dense block, Sb:
     onto the slot input before the dense block, P: next to the dense
@@ -42,13 +42,12 @@ from .layers import BiLSTM, BatchNorm2d, Conv2d, ConvTranspose2x2, Linear, Modul
 
 
 class DenseLayer(Module):
-    """BN -> ReLU -> same-padded 3x3 conv with `growth` output maps.
-
-    When a graph is recorded (training, or eval with grad on), BN and
-    ReLU are one fused op whose map the conv reads. In eval mode with no
-    graph, BN, ReLU and the conv are one op that builds that map one row
-    block at a time and never whole. out, when given, is the array the
-    conv writes its output into.
+    """BN -> ReLU -> same-padded 3x3 conv with `growth` output maps, as
+    one op (autodiff.batch_norm_relu_conv2d) in every mode. It builds the
+    BN+ReLU map one row block at a time and never whole, and its graph
+    keeps no full-size map. In training it normalizes with the batch
+    statistics and folds them into BN's running ones. out, when given,
+    is the array the conv writes its output into.
     """
 
     def __init__(self, c_in, growth, rng):
@@ -57,12 +56,16 @@ class DenseLayer(Module):
         self.conv = self.add_child("conv", Conv2d(c_in, growth, 3, 3, rng))
 
     def forward(self, x, out=None):
-        bn, w, b = self.bn, self.conv.weight, self.conv.bias
-        if self.training or ad.grad_enabled():  # the backward needs the whole map
-            return ad.conv2d(bn(x), w, b, out=out)
-        return ad.batch_norm_relu_conv2d_eval(
-            x, bn.gamma, bn.beta, bn._buffers["running_mean"], bn._buffers["running_var"],
-            w, b, out=out)
+        bn = self.bn
+        stats = bn._buffers["running_mean"], bn._buffers["running_var"]
+        y, mean, var = ad.batch_norm_relu_conv2d(
+            x, bn.gamma, bn.beta, self.conv.weight, self.conv.bias,
+            None if self.training else stats, out)
+        if self.training:
+            for running, batch in zip(stats, (mean, var)):
+                running *= 1.0 - bn.momentum
+                running += bn.momentum * batch
+        return y
 
 
 class DenseBlock(Module):

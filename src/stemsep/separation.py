@@ -147,14 +147,17 @@ def normalize_magnitude(mag):
 
 
 def estimate_magnitudes(models: dict, spec: Spectrogram) -> dict:
-    """Run each source model on the (normalized) mixture magnitude."""
+    """Run each source model on the (normalized) mixture magnitude. A
+    mono magnitude goes to a stereo model on both channels, and the
+    channel mean of its estimate comes back."""
     mag, norm = normalize_magnitude(spec.magnitude())
     out = {}
     for name, model in models.items():
         model.set_training(False)
+        channels = model.spec.io_channels
         with ad.no_grad():
-            est = model.forward(mag).data
-        out[name] = est * norm
+            est = model.forward(np.broadcast_to(mag, (channels,) + mag.shape[1:])).data
+        out[name] = (est if channels == len(mag) else est.mean(axis=0, keepdims=True)) * norm
     return out
 
 
@@ -194,18 +197,25 @@ def separate_track(models: dict, clip: AudioClip, wiener=True,
     name -> model map over the same sources, the magnitude estimates are
     blended as blend_weight * models + (1 - blend_weight) * blend_with.
     A single model is filtered against the spectral residual, so it
-    still gets a two-source Wiener (or soft-mask) pass.
+    still gets a two-source Wiener (or soft-mask) pass. A mono mixture
+    goes to stereo models as estimate_magnitudes says, and is then
+    soft-masked: a Wiener filter would need a stereo mixture.
 
     Raises SeparationError, before any model runs, when models is
     empty, blend_weight lies outside [0, 1], the blend covers other
     sources, the models disagree on FFT size, sample rate or channel
-    count, or the mixture holds a non-finite sample.
+    count, the mixture has another channel count than the models (but
+    mono for stereo models), or it holds a non-finite sample.
     """
     if not models:
         raise SeparationError("no source models given")
     if blend_with is not None:
         _check_blend(models, blend_with, blend_weight)
     arch = _input_arch(models, blend_with)
+    channels = len(clip.samples)
+    if channels != arch.io_channels and (channels, arch.io_channels) != (1, 2):
+        raise SeparationError("a %d-channel mixture for %d-channel models"
+                              % (channels, arch.io_channels))
     if not np.all(np.isfinite(clip.samples)):
         raise SeparationError("non-finite samples in the mixture")
     warn_if_unexpected_rate(clip, expected=arch.sample_rate)

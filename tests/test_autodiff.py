@@ -5,11 +5,18 @@ import pytest
 
 from gradcheck import grad_check
 from stemsep import autodiff as ad
-from stemsep.layers import BiLSTM, BatchNorm2d, Conv2d
+from stemsep.layers import BiLSTM, Conv2d
+from stemsep.model import DenseLayer
 
 
 def rand(rng, *shape):
     return rng.standard_normal(shape)
+
+
+def test_every_export_exists():
+    """A removed op leaves no stale name in autodiff.__all__."""
+    assert [name for name in ad.__all__ if not hasattr(ad, name)] == []
+    assert len(set(ad.__all__)) == len(ad.__all__)
 
 
 # ---------------------------------------------------------------------------
@@ -448,26 +455,43 @@ def test_batch_norm_rejects_bad_config():
 
 
 def test_batch_norm_eval_uses_running_stats():
+    """An eval DenseLayer normalizes with its running statistics, with
+    grad on or off: an affine map of x, not a per-batch standardization."""
     rng = np.random.default_rng(8)
-    bn = BatchNorm2d(2)
     x = ad.constant(rand(rng, 2, 8, 8) * 3.0 + 1.0)
-    bn(x)  # updates running stats
-    bn.set_training(False)
-    y1 = bn(x)
-    y2 = bn(ad.constant(x.data.copy()))
-    np.testing.assert_allclose(y1.data, y2.data)
-    # eval output is an affine map, not a per-batch standardization
-    assert abs(y1.data.mean()) > 1e-6
+    layer = DenseLayer(2, 3, rng)
+    layer(x)  # updates running stats
+    layer.set_training(False)
+    bn, w, b = layer.bn, layer.conv.weight, layer.conv.bias
+    h = ad.batch_norm_eval(x, bn.gamma, bn.beta, bn._buffers["running_mean"],
+                           bn._buffers["running_var"])
+    want = ad.conv2d(ad.relu(h), w, b).data
+    y1 = layer(x)
+    with ad.no_grad():
+        y2 = layer(ad.constant(x.data.copy()))
+    np.testing.assert_array_equal(y1.data, want)
+    np.testing.assert_array_equal(y2.data, want)
+    batch = ad.conv2d(ad.relu(ad.batch_norm_train(x, bn.gamma, bn.beta)[0]), w, b).data
+    assert np.abs(y1.data - batch).max() > 1e-6
 
 
 def test_batch_norm2d_folds_batch_stats_into_running_stats():
+    """A train-mode DenseLayer folds the batch statistics of its input
+    into its BN's running ones; an eval one leaves them alone."""
     rng = np.random.default_rng(9)
-    bn = BatchNorm2d(2)
     x = ad.constant(rand(rng, 2, 5, 6) * 3.0 + 1.0)
-    bn(x)
-    np.testing.assert_allclose(bn._buffers["running_mean"], 0.1 * x.data.mean(axis=(1, 2)))
-    np.testing.assert_allclose(bn._buffers["running_var"],
-                               0.9 + 0.1 * x.data.var(axis=(1, 2)))
+    layer = DenseLayer(2, 3, rng)
+    layer(x)
+    running = layer.bn._buffers
+    np.testing.assert_allclose(running["running_mean"], 0.1 * x.data.mean(axis=(1, 2)))
+    np.testing.assert_allclose(running["running_var"], 0.9 + 0.1 * x.data.var(axis=(1, 2)))
+    before = {k: v.copy() for k, v in running.items()}
+    layer.set_training(False)
+    layer(x)
+    with ad.no_grad():
+        layer(x)
+    for k, v in before.items():
+        np.testing.assert_array_equal(running[k], v)
 
 
 def eval_stats(rng, c, dtype=np.float64):
@@ -478,15 +502,22 @@ def eval_stats(rng, c, dtype=np.float64):
     return gamma, beta, mean, var
 
 
+def identity_conv(c, dtype=np.float64):
+    """A 1x1 conv that passes its c input channels through exactly."""
+    return ad.constant(np.eye(c, dtype=dtype)[:, :, None, None]), ad.constant(np.zeros(c, dtype))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batch_norm_relu_eval_matches_unfused(dtype):
+    """The eval-mode map, seen through a 1x1 identity conv, is
+    relu(batch_norm_eval(x)) bit for bit."""
     rng = np.random.default_rng(15)
     x = ad.constant(rand(rng, 3, 5, 7).astype(dtype))
     gamma, beta, mean, var = eval_stats(rng, 3, dtype)
     ref = ad.relu(ad.batch_norm_eval(x, gamma, beta, mean, var)).data
-    out = ad.batch_norm_relu_eval(x, gamma, beta, mean, var).data
-    assert out.dtype == dtype
-    np.testing.assert_array_equal(out, ref)
+    out, _, _ = ad.batch_norm_relu_conv2d(x, gamma, beta, *identity_conv(3, dtype), (mean, var))
+    assert out.data.dtype == dtype
+    np.testing.assert_array_equal(out.data, ref)
 
 
 def test_batch_norm_relu_eval_grad_check():
@@ -494,70 +525,112 @@ def test_batch_norm_relu_eval_grad_check():
     # keep pre-activations away from the ReLU kink for finite differences
     x = ad.parameter(rand(rng, 3, 4, 5) + np.where(rand(rng, 3, 4, 5) > 0, 0.8, -0.8))
     gamma, beta, mean, var = eval_stats(rng, 3)
-    w = ad.constant(rand(rng, 2, 3, 3, 3))
-    b = ad.constant(np.zeros(2))
+    w = ad.parameter(rand(rng, 2, 3, 3, 3))
+    b = ad.parameter(np.zeros(2))
 
     def build():
-        h = ad.batch_norm_relu_eval(x, gamma, beta, mean, var)
-        y = ad.conv2d(h, w, b)
+        y, _, _ = ad.batch_norm_relu_conv2d(x, gamma, beta, w, b, (mean, var))
         return ad.tmean(ad.mul(y, y))
 
-    report = grad_check(build, [("x", x), ("gamma", gamma), ("beta", beta)],
+    report = grad_check(build, [("x", x), ("gamma", gamma), ("beta", beta), ("w", w), ("b", b)],
                         rng=rng, max_entries=10, shrink_retries=2)
     assert report["passed"], report
 
 
 def test_batch_norm_relu_eval_propagates_nan():
+    """BN and ReLU are not checked themselves: a NaN in one channel of the
+    running variance (eval) or of x (train) reaches the conv, whose
+    check raises."""
     rng = np.random.default_rng(17)
     x = ad.constant(rand(rng, 2, 3, 3))
     gamma, beta, mean, var = eval_stats(rng, 2)
+    w, b = identity_conv(2)
     var[1] = np.nan
-    out = ad.batch_norm_relu_eval(x, gamma, beta, mean, var).data
-    assert np.all(np.isnan(out[1]))
-    assert np.all(np.isfinite(out[0]))
+    with pytest.raises(ad.NumericError, match="conv2d"):
+        ad.batch_norm_relu_conv2d(x, gamma, beta, w, b, (mean, var))
+    x.data[1, 1, 1] = np.nan
+    with pytest.raises(ad.NumericError, match="conv2d"):
+        ad.batch_norm_relu_conv2d(x, gamma, beta, w, b)
+
+
+def check_matches_unfused(monkeypatch, dtype, kh, kw, fo, train):
+    """batch_norm_relu_conv2d against conv2d(relu(batch_norm_train or
+    batch_norm_eval)) over every block split, written into out: outputs,
+    statistics and the gradients of all five operands, bit for bit."""
+    c_in, c_out, t = 3, 2, 5
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(c_out, kh, kw, t + kw - 1, dtype))
+    rng = np.random.default_rng(20 + fo)
+    x = ad.parameter(rand(rng, c_in, fo, t).astype(dtype))
+    gamma, beta, mean, var = eval_stats(rng, c_in, dtype)
+    w = ad.parameter(rand(rng, c_out, c_in, kh, kw).astype(dtype))
+    b = ad.parameter(rand(rng, c_out).astype(dtype))
+    g = ad.constant(rand(rng, c_out, fo, t).astype(dtype))
+    params = (x, gamma, beta, w, b)
+    runs = []
+    for fused in (True, False):
+        for p in params:
+            p.zero_grad()
+        if fused:
+            buf = np.full((c_out + 2, fo, t), 9.0, dtype=dtype)
+            y, *stats = ad.batch_norm_relu_conv2d(x, gamma, beta, w, b,
+                                                  None if train else (mean, var), out=buf[1:-1])
+            assert np.shares_memory(y.data, buf)
+            np.testing.assert_array_equal(buf[[0, -1]], 9.0)
+        else:
+            if train:
+                h, *stats = ad.batch_norm_train(x, gamma, beta)
+            else:
+                h, stats = ad.batch_norm_eval(x, gamma, beta, mean, var), [mean, var]
+            y = ad.conv2d(ad.relu(h), w, b)
+        ad.tsum(ad.mul(y, g)).backward()
+        runs.append([y.data.copy()] + stats + [p.grad for p in params])
+    for got, want in zip(*runs):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kh, kw", [(3, 3), (1, 1), (3, 1)])
 @pytest.mark.parametrize("fo", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS + 1])
 def test_batch_norm_relu_conv2d_eval_matches_two_ops(monkeypatch, dtype, kh, kw, fo):
-    """Bitwise equal to conv2d(batch_norm_relu_eval(...)) over every
-    block split, written into out when given."""
-    c_in, c_out, t = 3, 2, 5
-    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(c_out, kh, kw, t + kw - 1, dtype))
-    rng = np.random.default_rng(20 + fo)
-    x = ad.constant(rand(rng, c_in, fo, t).astype(dtype))
-    gamma, beta, mean, var = eval_stats(rng, c_in, dtype)
-    w = ad.constant(rand(rng, c_out, c_in, kh, kw).astype(dtype))
-    b = ad.constant(rand(rng, c_out).astype(dtype))
-    with ad.no_grad():
-        h = ad.batch_norm_relu_eval(x, gamma, beta, mean, var)
-        want = ad.conv2d(h, w, b).data
-        buf = np.full((c_out + 2, fo, t), 9.0, dtype=dtype)
-        got = ad.batch_norm_relu_conv2d_eval(x, gamma, beta, mean, var, w, b, out=buf[1:-1])
-    assert got.data.dtype == dtype and np.shares_memory(got.data, buf)
-    np.testing.assert_array_equal(got.data, want)
-    np.testing.assert_array_equal(buf[[0, -1]], 9.0)
+    check_matches_unfused(monkeypatch, dtype, kh, kw, fo, train=False)
 
 
-def test_batch_norm_relu_conv2d_eval_checks():
-    """A NaN running variance raises; so does a call that would record a
-    graph, since the op has no backward."""
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kh, kw", [(3, 3), (1, 1), (3, 1)])
+@pytest.mark.parametrize("fo", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS + 1])
+def test_batch_norm_relu_conv2d_train_matches_three_ops(monkeypatch, dtype, kh, kw, fo):
+    check_matches_unfused(monkeypatch, dtype, kh, kw, fo, train=True)
+
+
+def test_batch_norm_relu_conv2d_eval_checks(monkeypatch):
+    """The op goes through _make, so it records a graph with grad on and
+    none under no_grad; a NaN running variance raises either way."""
     rng = np.random.default_rng(21)
     x = ad.constant(rand(rng, 2, 4, 3))
     gamma, beta, mean, var = eval_stats(rng, 2)
     w, b = ad.constant(rand(rng, 3, 2, 3, 3)), ad.constant(np.zeros(3))
-    with pytest.raises(ad.GraphError):
-        ad.batch_norm_relu_conv2d_eval(x, gamma, beta, mean, var, w, b)
+    made = []
+    make = ad._make
+    monkeypatch.setattr(ad, "_make", lambda *args: made.append(args[1]) or make(*args))
+    y, _, _ = ad.batch_norm_relu_conv2d(x, gamma, beta, w, b, (mean, var))
+    assert y.requires_grad and y._parents == (x, gamma, beta, w, b)
+    with ad.no_grad():
+        y, _, _ = ad.batch_norm_relu_conv2d(x, gamma, beta, w, b, (mean, var))
+    assert not y.requires_grad and y._parents == ()
+    assert made == [(x, gamma, beta, w, b)] * 2
     var[1] = np.nan
+    with pytest.raises(ad.NumericError, match="conv2d"):
+        ad.batch_norm_relu_conv2d(x, gamma, beta, w, b, (mean, var))
     with ad.no_grad(), pytest.raises(ad.NumericError, match="conv2d"):
-        ad.batch_norm_relu_conv2d_eval(x, gamma, beta, mean, var, w, b)
+        ad.batch_norm_relu_conv2d(x, gamma, beta, w, b, (mean, var))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batch_norm_relu_train_matches_unfused(dtype):
-    """Outputs, batch statistics and the gradients of x, gamma and beta
-    equal relu(batch_norm_train(x)) bit for bit."""
+    """Seen through a 1x1 identity conv, the train-mode map, its batch
+    statistics and the gradients of x, gamma and beta equal
+    relu(batch_norm_train(x)) bit for bit."""
     rng = np.random.default_rng(18)
     x = ad.parameter(rand(rng, 3, 5, 7).astype(dtype))
     gamma, beta, _, _ = eval_stats(rng, 3, dtype)
@@ -568,7 +641,7 @@ def test_batch_norm_relu_train_matches_unfused(dtype):
         for p in params:
             p.zero_grad()
         if fused:
-            out, mean, var = ad.batch_norm_relu_train(x, gamma, beta)
+            out, mean, var = ad.batch_norm_relu_conv2d(x, gamma, beta, *identity_conv(3, dtype))
         else:
             out, mean, var = ad.batch_norm_train(x, gamma, beta)
             out = ad.relu(out)
@@ -584,15 +657,14 @@ def test_batch_norm_relu_train_grad_check():
     x = ad.parameter(rand(rng, 3, 4, 5))
     gamma = ad.parameter(1.0 + 0.3 * rand(rng, 3))
     beta = ad.parameter(0.3 * rand(rng, 3))
-    w = ad.constant(rand(rng, 2, 3, 3, 3))
-    b = ad.constant(np.zeros(2))
+    w = ad.parameter(rand(rng, 2, 3, 3, 3))
+    b = ad.parameter(np.zeros(2))
 
     def build():
-        h, _, _ = ad.batch_norm_relu_train(x, gamma, beta)
-        y = ad.conv2d(h, w, b)
+        y, _, _ = ad.batch_norm_relu_conv2d(x, gamma, beta, w, b)
         return ad.tmean(ad.mul(y, y))
 
-    report = grad_check(build, [("x", x), ("gamma", gamma), ("beta", beta)],
+    report = grad_check(build, [("x", x), ("gamma", gamma), ("beta", beta), ("w", w), ("b", b)],
                         rng=rng, max_entries=10, shrink_retries=2)
     assert report["passed"], report
 

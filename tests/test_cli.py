@@ -438,6 +438,33 @@ def test_separate_reads_8bit_mixture(tmp_path, data_dir):
     assert read_wav(out / "vocals.wav").samples.shape == clip.samples.shape
 
 
+def test_separate_mono_mixture(tmp_path, data_dir):
+    """A mono mixture goes to the stereo models on both channels: exit 0,
+    mono stems of the input's length, and vocals plus accompaniment give
+    the mixture back."""
+    clip = read_wav(os.path.join(data_dir, "track00", "mixture.wav"))
+    mixture = tmp_path / "mono.wav"
+    write_wav(str(mixture), AudioClip(clip.samples.mean(axis=0), clip.sample_rate))
+    mono = read_wav(mixture)
+    ckpt = _save_toy(tmp_path / "vocals.ckpt", 1)
+    out = tmp_path / "out"
+    rc = cli.main(["separate", str(mixture), "--checkpoints", ckpt, "--out", str(out)])
+    assert rc == 0
+    vocals, rest = read_wav(out / "vocals.wav"), read_wav(out / "accompaniment.wav")
+    assert vocals.samples.shape == rest.samples.shape == mono.samples.shape == (1, clip.num_samples)
+    assert np.abs(vocals.samples).max() > 0
+    np.testing.assert_allclose(vocals.samples + rest.samples, mono.samples, rtol=0, atol=1e-6)
+
+
+def test_separate_rejects_stereo_mixture_for_mono_models(tmp_path, data_dir, forward_calls,
+                                                         capsys):
+    ckpt = _save_toy(tmp_path / "vocals.ckpt", 1, _other_arch("io_channels"))
+    rc = cli.main(_separate_argv(data_dir, ckpt, tmp_path / "out"))
+    assert rc == 5
+    assert forward_calls == []
+    assert "2-channel mixture for 1-channel models" in capsys.readouterr().err
+
+
 def _library_wavs(tmp_path, models, clip, **kwargs):
     from stemsep.dsp import write_wav
     from stemsep.separation import separate_track

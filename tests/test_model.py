@@ -124,6 +124,23 @@ def test_eval_dense_layer_never_builds_its_halo_map(monkeypatch):
     assert peak < halo_bytes, (peak, halo_bytes)
 
 
+def test_train_dense_layer_graph_keeps_no_full_size_map():
+    """The graph of a train-mode DenseLayer forward keeps no full-size
+    map: the memory still held after it (the output and what the graph
+    keeps) is below the size of the input map, since the backward
+    recomputes the BN+ReLU map and xhat from the input."""
+    layer = mdl.DenseLayer(16, 4, RNG(46))
+    x = ad.parameter(RNG(47).standard_normal((16, 64, 64)))
+    tracemalloc.start()
+    try:
+        y = layer(x)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad and y.shape == (4, 64, 64)
+    assert held < x.data.nbytes, (held, x.data.nbytes)
+
+
 def test_dense_block_degenerate_passthrough():
     blk = DenseBlock(5, 0, 14, RNG())
     x = ad.constant(RNG(2).standard_normal((5, 4, 4)))
