@@ -2,12 +2,13 @@
 
 Implements exactly the operation set the separation model needs:
 same-padded 2-D convolution, batch normalization, a dense layer's
-BN + ReLU + conv as one op (it fills the conv's zero-bordered row tile
-with the BN+ReLU map, and its backward recomputes that map from its
-input), ReLU/sigmoid/tanh, 2x2 average pooling, stride-2 transposed
-convolution, affine maps, concatenation, slicing and the usual
-elementwise/reduction glue. Each operation records a backward closure;
-`Tensor.backward()` runs a reverse topological sweep.
+BN + ReLU + conv as one op (it fills the conv's row tile, zero rows
+above and below and no zero columns, with the BN+ReLU map, and its
+backward recomputes that map from its input), ReLU/sigmoid/tanh, 2x2
+average pooling, stride-2 transposed convolution, affine maps,
+concatenation, slicing and the usual elementwise/reduction glue. Each
+operation records a backward closure; `Tensor.backward()` runs a
+reverse topological sweep.
 
 Conventions:
   * feature maps are (channels, frequency, time), row-major
@@ -324,7 +325,7 @@ CONV_TILE_BYTES = 4 << 20  # size of the tap array of one row block in conv2d's 
 
 
 def _conv_setup(x, weight, bias, out):
-    """Check conv2d's operands; return (ph, pw, out_data)."""
+    """Check conv2d's operands; return (ph, out_data)."""
     if x.ndim != 3 or weight.ndim != 4:
         raise ShapeError("conv2d: x %r, weight %r" % (x.shape, weight.shape))
     c_out, c_in, kh, kw = weight.shape
@@ -336,68 +337,90 @@ def _conv_setup(x, weight, bias, out):
         raise ShapeError("conv2d: same-padding requires odd kernel dims, got %dx%d" % (kh, kw))
     shape = (c_out,) + x.shape[1:]
     if out is None:
-        return kh // 2, kw // 2, np.empty(shape, dtype=x.data.dtype)
+        return kh // 2, np.empty(shape, dtype=x.data.dtype)
     if out.shape != shape or out.dtype != x.data.dtype:
         raise ShapeError("conv2d: out %r %s, expected %r %s"
                          % (out.shape, out.dtype, shape, x.data.dtype))
-    return kh // 2, kw // 2, out
+    if out.size and not out[0].flags.c_contiguous:  # _conv_forward writes flattened planes
+        raise ShapeError("conv2d: out needs a contiguous (f, t) plane per channel")
+    return kh // 2, out
 
 
-def _padded_rows(fill, x, ph, pw):
+def _padded_rows(fill, x, ph):
     """read_rows for _conv_forward over the (c, f, t) array x bordered by
-    ph zero rows and pw zero columns. Each call builds rows [lo, hi) of
-    the bordered input in one reused tile, sized by the first (tallest)
-    call: fill(dst, src) writes rows src of x, or a map of them, into dst
-    inside the zero border. The whole bordered input never exists
-    (Pleiss et al. 2017, arXiv:1707.06990)."""
+    ph zero rows above and below. Each call builds rows [lo, hi) of the
+    bordered input in one reused (c, rows, t) tile, sized by the first
+    (tallest) call: fill(dst, src) writes rows src of x, or a map of
+    them, into dst, one contiguous span per channel. The whole bordered
+    input never exists (Pleiss et al. 2017, arXiv:1707.06990)."""
     c, f, t = x.shape
     tile = None
 
     def read_rows(lo, hi):
         nonlocal tile
         if tile is None:
-            tile = np.zeros((c, hi - lo, t + 2 * pw), dtype=x.dtype)
+            tile = np.zeros((c, hi - lo, t), dtype=x.dtype)
         rows = tile[:, :hi - lo]
         a, b = max(lo, ph), min(hi, ph + f)  # the bordered rows that hold rows of x
         rows[:, :a - lo] = 0
         rows[:, b - lo:] = 0
-        fill(rows[:, a - lo:b - lo, pw:pw + t], x[:, a - ph:b - ph])
+        fill(rows[:, a - lo:b - lo], x[:, a - ph:b - ph])
         return rows
 
     return read_rows
 
 
-def _conv_forward(read_rows, w, bias, out):
-    """out = bias + the valid cross-correlation of w with a padded input,
-    one block of output rows at a time.
+def _zero_wraps(taps):
+    """Zero, in a (kh, kw, c_out, rows, t) tap array, the columns that
+    the flattened shift of tap dj by dj - kw // 2 would carry into the
+    next or previous row: they stand for the zero columns left and right
+    of the map."""
+    kw, t = taps.shape[1], taps.shape[-1]
+    for dj in range(kw):
+        s = dj - kw // 2
+        if s > 0:
+            taps[:, dj, ..., :s] = 0
+        elif s < 0:
+            taps[:, dj, ..., max(t + s, 0):] = 0
 
-    read_rows(lo, hi) returns rows [lo, hi) of the padded (c_in, fp, tp)
+
+def _conv_forward(read_rows, w, bias, out):
+    """out = bias + the same cross-correlation of w with an input whose
+    rows are bordered by kh // 2 zero rows, one block of output rows at
+    a time.
+
+    read_rows(lo, hi) returns rows [lo, hi) of the bordered (c_in, fp, t)
     input, the first call being the tallest. A block of n output rows
     needs n + kh - 1 input rows; one GEMM of the tap-major kernel w9
     (kh*kw*c_out, c_in) against them, read in place, gives the block's
-    (kh, kw, c_out, n + kh - 1, tp) tap array, and its kh*kw shifted
-    taps are added into the block in (di, dj) order. n keeps the tap
-    array near CONV_TILE_BYTES, so the taps are added while in cache.
+    (kh, kw, c_out, (n + kh - 1) * t) tap array. On flattened rows, tap
+    (di, dj) is the shift by di * t + dj - kw // 2: its wrapping columns
+    are zeroed (_zero_wraps) and its kh*kw shifted spans are added into
+    the block in (di, dj) order. n keeps the tap array near
+    CONV_TILE_BYTES, so the taps are added while in cache.
     """
     c_out, c_in, kh, kw = w.shape
-    _, fo, to = out.shape
-    tp = to + kw - 1
+    _, fo, t = out.shape
     w9 = w.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
-    rows = max(1, CONV_TILE_BYTES // (w9.shape[0] * tp * out.itemsize) - (kh - 1))
+    rows = max(1, CONV_TILE_BYTES // (w9.shape[0] * max(t, 1) * out.itemsize) - (kh - 1))
     for r0 in range(0, fo, rows):
         n = min(rows, fo - r0)
-        xr = read_rows(r0, r0 + n + kh - 1)
-        taps = (w9 @ xr.reshape(c_in, -1)).reshape(kh, kw, c_out, n + kh - 1, tp)
-        block = out[:, r0:r0 + n]
-        block[:] = bias[:, None, None]
+        m = (n + kh - 1) * t
+        taps = (w9 @ read_rows(r0, r0 + n + kh - 1).reshape(c_in, m)).reshape(kh, kw, c_out, m)
+        _zero_wraps(taps.reshape(kh, kw, c_out, n + kh - 1, t))
+        block = out[:, r0:r0 + n].reshape(c_out, n * t)
+        block[:] = bias[:, None]
         for di in range(kh):
             for dj in range(kw):
-                block += taps[di, dj, :, di:di + n, dj:dj + to]
+                dst, src = _tap_span(-(di * t + dj - kw // 2), n * t, m)
+                block[:, dst] += taps[di, dj, :, src]
 
 
-def _tap_span(s, n):
-    """(dst, src) slices putting src[i] at dst[i + s], both in [0, n)."""
-    lo, hi = max(s, 0), max(n + min(s, 0), s, 0)
+def _tap_span(s, n, m):
+    """(dst, src) slices putting src[i] at dst[i + s], dst in [0, n) and
+    src in [0, m)."""
+    lo = max(s, 0)
+    hi = max(min(n, m + s), lo)
     return slice(lo, hi), slice(lo - s, hi - s)
 
 
@@ -406,20 +429,23 @@ def _conv_backward(g, xd, weight, bias, need_gx):
     two GEMMs over one tap-shifted gradient (convolution as a few large
     GEMMs, Chellapilla, Puri & Simard 2006). `shifted` is a zero
     (kh*kw*c_out, f*t) array whose row block (di, dj) holds g where that
-    tap's input sits, clipped at the edges. The weight gradient
-    shifted @ xd.T and the bias gradient are accumulated; the input
-    gradient w9.T @ shifted, w9 the (kh*kw*c_out, c_in) tap-major
-    kernel, is returned when need_gx (else None)."""
+    tap's input sits: g's flattened rows shifted by (di - kh // 2) * t +
+    dj - kw // 2, clipped at the ends, with the wrapping columns zeroed
+    (_zero_wraps). The weight gradient shifted @ xd.T and the bias
+    gradient are accumulated; the input gradient w9.T @ shifted, w9 the
+    (kh*kw*c_out, c_in) tap-major kernel, is returned when need_gx (else
+    None)."""
     c_out, c_in, kh, kw = weight.shape
     _, f, t = xd.shape
     gx = None
     if need_gx or weight.requires_grad:
-        shifted = np.zeros((kh, kw, c_out, f, t), dtype=g.dtype)
+        shifted = np.zeros((kh, kw, c_out, f * t), dtype=g.dtype)
+        g2 = g.reshape(c_out, f * t)
         for di in range(kh):
-            rows, g_rows = _tap_span(di - kh // 2, f)
             for dj in range(kw):
-                cols, g_cols = _tap_span(dj - kw // 2, t)
-                shifted[di, dj, :, rows, cols] = g[:, g_rows, g_cols]
+                dst, src = _tap_span((di - kh // 2) * t + dj - kw // 2, f * t, f * t)
+                shifted[di, dj, :, dst] = g2[:, src]
+        _zero_wraps(shifted.reshape(kh, kw, c_out, f, t))
         shifted = shifted.reshape(kh * kw * c_out, f * t)
         if need_gx:
             w9 = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
@@ -437,16 +463,18 @@ def conv2d(x, weight, bias, out=None):
     (c_out, c_in, kh, kw), kh and kw odd.
 
     out, when given, is the (c_out, f, t) array the result is written
-    into (e.g. a slot of a dense block's channel buffer); the returned
-    tensor's data is that array.
+    into (e.g. a slot of a dense block's channel buffer), with each
+    channel's (f, t) plane contiguous; the returned tensor's data is
+    that array.
 
     The forward runs in blocks of output rows (_conv_forward): one GEMM
-    per block against its input rows, copied into a reused zero-bordered
-    tile (_padded_rows), then a shifted sum of the taps. No padded copy
+    per block against its input rows, copied into a reused tile that
+    holds zero rows above and below and no zero columns (_padded_rows),
+    then a sum of the taps shifted along flattened rows. No padded copy
     of x is made. The backward is _conv_backward.
     """
-    ph, pw, out_data = _conv_setup(x, weight, bias, out)
-    _conv_forward(_padded_rows(np.copyto, x.data, ph, pw), weight.data, bias.data, out_data)
+    ph, out_data = _conv_setup(x, weight, bias, out)
+    _conv_forward(_padded_rows(np.copyto, x.data, ph), weight.data, bias.data, out_data)
     _check_finite(out_data, "conv2d")
 
     def backward(g):
@@ -536,9 +564,9 @@ def _train_stats(x, gamma, beta):
     return mean, var, 1.0 / np.sqrt(var + BN_EPS)
 
 
-def _standardize(xd, mean, inv_std):
-    """xhat = (xd - mean) * inv_std per channel, in a new array."""
-    xhat = xd - mean[:, None, None]
+def _standardize(xd, mean, inv_std, out=None):
+    """xhat = (xd - mean) * inv_std per channel, in out or a new array."""
+    xhat = np.subtract(xd, mean[:, None, None], out=out)
     xhat *= inv_std[:, None, None]
     return xhat
 
@@ -623,24 +651,22 @@ def batch_norm_relu_conv2d(x, gamma, beta, weight, bias, running=None, out=None)
     running=None normalizes with x's batch statistics (train mode),
     running=(running_mean, running_var) with those (eval mode). Returns
     (out, mean, var), the statistics used; the running-stat fold is the
-    caller's. The BN+ReLU map fills conv2d's zero-bordered row tile
-    (_padded_rows) one row block at a time and is never whole. The graph
-    keeps x, which a dense block's channel buffer holds anyway, and
-    per-channel statistics; the backward recomputes the map from them
-    (Pleiss et al. 2017, arXiv:1707.06990).
+    caller's. The BN+ReLU map fills conv2d's row tile (_padded_rows),
+    one contiguous span per channel and row block, and is never whole.
+    The graph keeps x, which a dense block's channel buffer holds
+    anyway, and per-channel statistics; the backward recomputes the map
+    from them (Pleiss et al. 2017, arXiv:1707.06990).
     """
     if running is None:
         mean, var, inv_std = _train_stats(x, gamma, beta)
-
-        def fill(dst, src):  # the tile's rows are strided: work in a contiguous copy
-            xhat = _standardize(src, mean, inv_std)
-            np.copyto(dst, _affine_relu(xhat, gamma.data, beta.data, xhat))
+        fill = lambda dst, src: _affine_relu(_standardize(src, mean, inv_std, dst),
+                                             gamma.data, beta.data, dst)
     else:
         mean, var = running
         inv_std, scale_c, shift_c = _eval_affine(x, gamma, beta, mean, var)
         fill = lambda dst, src: _affine_relu(src, scale_c, shift_c, dst)
-    ph, pw, out_data = _conv_setup(x, weight, bias, out)
-    _conv_forward(_padded_rows(fill, x.data, ph, pw), weight.data, bias.data, out_data)
+    ph, out_data = _conv_setup(x, weight, bias, out)
+    _conv_forward(_padded_rows(fill, x.data, ph), weight.data, bias.data, out_data)
     _check_finite(out_data, "conv2d")
 
     def backward(g):

@@ -19,9 +19,9 @@ Conventions:
     concat_view whose backward is concat's
   * a dense layer's BN, ReLU and conv are one op in every mode: it
     writes the BN+ReLU map one block of frequency rows at a time into
-    the conv's reused zero-bordered tile, and its backward recomputes
-    that map from the layer input, so no layer's full-size BN+ReLU map
-    exists outside a backward
+    the conv's reused row tile (zero rows above and below, no zero
+    columns), and its backward recomputes that map from the layer
+    input, so no layer's full-size BN+ReLU map exists outside a backward
   * an LSTM block produces a single feature map; the combination mode
     decides where it is concatenated (Sa: after the dense block, Sb:
     onto the slot input before the dense block, P: next to the dense

@@ -17,9 +17,10 @@ regularizer eps.
 from __future__ import annotations
 
 import numpy as np
+from scipy.signal import resample_poly
 
 from . import autodiff as ad
-from .dsp import AudioClip, Spectrogram, istft, stft, warn_if_unexpected_rate
+from .dsp import AudioClip, Spectrogram, istft, stft
 
 SOURCE_NAMES = ("bass", "drums", "other", "vocals")
 SOFT_MASK_EPS = 1e-12  # added to the summed source power
@@ -186,14 +187,25 @@ def _input_arch(models: dict, blend_with: dict | None):
     return named[0][1].spec
 
 
+def _resample(clip, rate, num_samples=None):
+    """clip at `rate` (itself when it is at that rate), cut to num_samples."""
+    if clip.sample_rate == rate:
+        return clip
+    samples = resample_poly(clip.samples, rate, clip.sample_rate, axis=1)
+    return AudioClip(samples[:, :num_samples], rate)
+
+
 def separate_track(models: dict, clip: AudioClip, wiener=True,
                    blend_with=None, blend_weight=0.5) -> dict:
     """Separate a mixture clip into source clips plus the accompaniment
     (the waveform residual of the vocal extraction).
 
     models maps source names to models. The STFT size (hop a quarter of
-    it) and the sample rate come from the models' arch `spec`; a clip at
-    another rate is separated with a warning. With blend_with, a second
+    it) and the sample rate come from the models' arch `spec`. A clip at
+    another rate is resampled to the arch's rate with
+    scipy.signal.resample_poly and separated there; its stems are
+    resampled back and cut to the clip's length, so the accompaniment
+    is the residual at the clip's rate. With blend_with, a second
     name -> model map over the same sources, the magnitude estimates are
     blended as blend_weight * models + (1 - blend_weight) * blend_with.
     A single model is filtered against the spectral residual, so it
@@ -218,8 +230,7 @@ def separate_track(models: dict, clip: AudioClip, wiener=True,
                               % (channels, arch.io_channels))
     if not np.all(np.isfinite(clip.samples)):
         raise SeparationError("non-finite samples in the mixture")
-    warn_if_unexpected_rate(clip, expected=arch.sample_rate)
-    spec = stft(clip, fft_size=arch.fft_size)
+    spec = stft(_resample(clip, arch.sample_rate), fft_size=arch.fft_size)
     mags = estimate_magnitudes(models, spec)
     if blend_with is not None:
         mags = blend(mags, estimate_magnitudes(blend_with, spec), blend_weight)
@@ -233,7 +244,7 @@ def separate_track(models: dict, clip: AudioClip, wiener=True,
         specs.pop("_rest")
     else:
         specs = separate_spectrogram(spec, mags, wiener=wiener)
-    out = {n: istft(s) for n, s in specs.items()}
+    out = {n: _resample(istft(s), clip.sample_rate, clip.num_samples) for n, s in specs.items()}
     if "vocals" in out:
         residual = clip.samples - out["vocals"].samples
         out["accompaniment"] = AudioClip(residual, clip.sample_rate)

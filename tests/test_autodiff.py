@@ -223,18 +223,21 @@ def assert_conv_close(got, want, x, w, b, padding):
 TILE_ROWS = 3  # output rows per block when a test sets CONV_TILE_BYTES with tile_bytes
 
 
-def tile_bytes(c_out, kh, kw, tp, dtype, rows=TILE_ROWS):
+def tile_bytes(c_out, kh, kw, t, dtype, rows=TILE_ROWS):
     """The CONV_TILE_BYTES that makes conv2d's forward take `rows` output
-    rows per block: the tap array of rows + kh - 1 padded input rows."""
-    return (rows + kh - 1) * kh * kw * c_out * tp * np.dtype(dtype).itemsize
+    rows per block of a map t columns wide: the tap array of rows + kh - 1
+    row-bordered input rows (the tile has no column border)."""
+    return (rows + kh - 1) * kh * kw * c_out * t * np.dtype(dtype).itemsize
 
 
 def test_conv2d_row_blocks(monkeypatch):
-    """Blocks of TILE_ROWS output rows, each reading kh - 1 more padded
-    input rows, the first the tallest; the last block is short."""
-    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, 3, 3, 6, np.float64))
+    """Blocks of TILE_ROWS output rows, each reading kh - 1 more input
+    rows bordered by zero rows above and below (no zero columns), the
+    first the tallest; the last block is short."""
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, 3, 3, 4, np.float64))
     rng = np.random.default_rng(3)
-    xp = rand(rng, 4, 9, 6)
+    x = rand(rng, 4, 7, 4)
+    xp = np.pad(x, ((0, 0), (1, 1), (0, 0)))
     calls = []
 
     def read_rows(lo, hi):
@@ -245,7 +248,7 @@ def test_conv2d_row_blocks(monkeypatch):
     w, b = rand(rng, 2, 4, 3, 3), rand(rng, 2)
     ad._conv_forward(read_rows, w, b, out)
     assert calls == [(0, 5), (3, 8), (6, 9)]
-    assert_conv_close(out, conv2d_oracle(xp, w, b, "valid"), xp, w, b, "valid")
+    assert_conv_close(out, conv2d_oracle(x, w, b, "same"), x, w, b, "same")
 
 
 # (c_in, c_out, kh, kw, padding); a "valid" case checks the fo-row
@@ -268,7 +271,7 @@ def test_conv2d_row_tiles_match_oracle(monkeypatch, dtype, c_in, c_out, kh, kw, 
     matches the nested-loop oracle and the tensordot forward."""
     ph, pw = (kh // 2, kw // 2) if padding == "same" else (0, 0)
     t = 5
-    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(c_out, kh, kw, t + kw - 1, dtype))
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(c_out, kh, kw, t, dtype))
     rng = np.random.default_rng(fo)
     x = rand(rng, c_in, fo + kh - 1 - 2 * ph, t).astype(dtype)
     w = rand(rng, c_out, c_in, kh, kw).astype(dtype)
@@ -290,7 +293,7 @@ def test_conv2d_matches_tensordot_at_model_sizes(dtype):
     x = rand(rng, 40, 71, 256).astype(dtype)
     w = (0.1 * rand(rng, 14, 40, 3, 3)).astype(dtype)
     b = rand(rng, 14).astype(dtype)
-    rows = ad.CONV_TILE_BYTES // (9 * 14 * 258 * np.dtype(dtype).itemsize) - 2
+    rows = ad.CONV_TILE_BYTES // (9 * 14 * 256 * np.dtype(dtype).itemsize) - 2
     assert 71 % rows and 71 // rows >= 2
     got = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b)).data
     assert_conv_close(got, conv2d_tensordot_reference(x, w, b, "same"), x, w, b, "same")
@@ -313,6 +316,63 @@ def test_conv2d_never_builds_its_padded_input(monkeypatch):
         tracemalloc.stop()
     assert y.shape == (4, 64, 64)
     assert peak < padded_bytes, (peak, padded_bytes)
+
+
+# kernels wider than the maps below: on flattened rows, the shift of a
+# tap column can wrap past the next row, or past the whole map
+NARROW_KERNELS = [(3, 3), (5, 5), (3, 7), (7, 7)]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("kh, kw", NARROW_KERNELS)
+def test_conv2d_narrower_than_kernel_matches_nested_loop_oracle(monkeypatch, kh, kw, t):
+    """Maps t <= 3 columns wide, over two row blocks: the forward and
+    every gradient against the nested-loop oracles."""
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, kh, kw, t, np.float64))
+    rng = np.random.default_rng(30 + t)
+    xd = rand(rng, 3, 5, t)
+    x, w, b = ad.parameter(xd), ad.parameter(rand(rng, 2, 3, kh, kw)), ad.parameter(rand(rng, 2))
+    y = ad.conv2d(x, w, b)
+    np.testing.assert_allclose(y.data, conv2d_oracle(xd, w.data, b.data, "same"),
+                               rtol=1e-12, atol=1e-12)
+    g = rand(rng, 2, 5, t)
+    ad.tsum(ad.mul(y, ad.constant(g))).backward()
+    for got, want in zip((x.grad, w.grad, b.grad), conv2d_grad_oracle(xd, w.data, g, "same")):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_conv2d_on_a_map_without_columns():
+    """A (c, f, 0) map gives an empty output and empty gradients."""
+    x = ad.parameter(np.ones((2, 4, 0)))
+    w, b = ad.parameter(np.ones((3, 2, 3, 3))), ad.parameter(np.ones(3))
+    y = ad.conv2d(x, w, b)
+    ad.tsum(y).backward()
+    assert y.shape == (3, 4, 0) and x.grad.shape == (2, 4, 0)
+    np.testing.assert_array_equal(w.grad, 0.0)
+    np.testing.assert_array_equal(b.grad, 0.0)
+
+
+def test_conv2d_rejects_out_without_contiguous_planes():
+    """The forward writes each output channel's (f, t) plane as one
+    flattened span, so an out whose planes are strided is refused before
+    any write (a reshape of it would be a copy, and the output lost); an
+    out whose channels are strided but whose planes are contiguous is
+    written in place."""
+    rng = np.random.default_rng(6)
+    x = ad.constant(rand(rng, 2, 4, 5))
+    w, b = ad.constant(rand(rng, 3, 2, 3, 3)), ad.constant(rand(rng, 3))
+    buf = np.full((6, 4, 6), 9.0)
+    for op in (lambda out: ad.conv2d(x, w, b, out=out),
+               lambda out: ad.batch_norm_relu_conv2d(x, ad.constant(np.ones(2)),
+                                                     ad.constant(np.zeros(2)), w, b, out=out)):
+        with pytest.raises(ad.ShapeError, match="contiguous"):
+            op(buf[:3, :, :5])
+        np.testing.assert_array_equal(buf, 9.0)
+    slots = np.full((6, 4, 5), 9.0)
+    y = ad.conv2d(x, w, b, out=slots[::2])
+    assert np.shares_memory(y.data, slots)
+    np.testing.assert_array_equal(slots[::2], ad.conv2d(x, w, b).data)
+    np.testing.assert_array_equal(slots[1::2], 9.0)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +618,7 @@ def check_matches_unfused(monkeypatch, dtype, kh, kw, fo, train):
     batch_norm_eval)) over every block split, written into out: outputs,
     statistics and the gradients of all five operands, bit for bit."""
     c_in, c_out, t = 3, 2, 5
-    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(c_out, kh, kw, t + kw - 1, dtype))
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(c_out, kh, kw, t, dtype))
     rng = np.random.default_rng(20 + fo)
     x = ad.parameter(rand(rng, c_in, fo, t).astype(dtype))
     gamma, beta, mean, var = eval_stats(rng, c_in, dtype)
@@ -601,6 +661,35 @@ def test_batch_norm_relu_conv2d_eval_matches_two_ops(monkeypatch, dtype, kh, kw,
 @pytest.mark.parametrize("fo", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS + 1])
 def test_batch_norm_relu_conv2d_train_matches_three_ops(monkeypatch, dtype, kh, kw, fo):
     check_matches_unfused(monkeypatch, dtype, kh, kw, fo, train=True)
+
+
+@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("kh, kw", NARROW_KERNELS)
+def test_batch_norm_relu_conv2d_narrower_than_kernel_matches_oracle(monkeypatch, kh, kw, t,
+                                                                   train):
+    """The op on maps t <= 3 columns wide, over two row blocks, in each
+    mode: its output and the gradients of all five operands against BN
+    and ReLU as two ops with the conv and its gradients by nested loops."""
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, kh, kw, t, np.float64))
+    rng = np.random.default_rng(40 + t)
+    x = ad.parameter(rand(rng, 3, 5, t))
+    gamma, beta, mean, var = eval_stats(rng, 3)
+    w, b = ad.parameter(rand(rng, 2, 3, kh, kw)), ad.parameter(rand(rng, 2))
+    g = rand(rng, 2, 5, t)
+    params = (x, gamma, beta, w, b)
+    y, _, _ = ad.batch_norm_relu_conv2d(x, gamma, beta, w, b, None if train else (mean, var))
+    ad.tsum(ad.mul(y, ad.constant(g))).backward()
+    got = [y.data] + [p.grad for p in params]
+    for p in params:
+        p.zero_grad()
+    h = ad.relu(ad.batch_norm_train(x, gamma, beta)[0] if train
+                else ad.batch_norm_eval(x, gamma, beta, mean, var))
+    gh, gw, gb = conv2d_grad_oracle(h.data, w.data, g, "same")
+    ad.tsum(ad.mul(h, ad.constant(gh))).backward()
+    want = [conv2d_oracle(h.data, w.data, b.data, "same"), x.grad, gamma.grad, beta.grad, gw, gb]
+    for a, e in zip(got, want):
+        np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-12 * np.abs(e).max())
 
 
 def test_batch_norm_relu_conv2d_eval_checks(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -454,6 +455,32 @@ def test_separate_mono_mixture(tmp_path, data_dir):
     assert vocals.samples.shape == rest.samples.shape == mono.samples.shape == (1, clip.num_samples)
     assert np.abs(vocals.samples).max() > 0
     np.testing.assert_allclose(vocals.samples + rest.samples, mono.samples, rtol=0, atol=1e-6)
+
+
+def test_separate_resamples_mixture_at_another_rate(tmp_path, data_dir):
+    """A 16 kHz mixture for 8 kHz models is separated at 8 kHz and its
+    stems resampled back: exit 0 with no warning, stems of the input's
+    shape and rate, and vocals plus accompaniment give the mixture back."""
+    from scipy.signal import resample_poly
+
+    clip = read_wav(os.path.join(data_dir, "track00", "mixture.wav"))
+    assert clip.sample_rate == toy_arch().sample_rate == 8000
+    mixture = tmp_path / "mix16k.wav"
+    write_wav(str(mixture), AudioClip(resample_poly(clip.samples, 2, 1, axis=1), 16000))
+    mix = read_wav(mixture)
+    ckpt = _save_toy(tmp_path / "vocals.ckpt", 1)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["separate", str(mixture), "--checkpoints", ckpt, "--out", str(out)])
+    assert rc == 0
+    assert [str(w.message) for w in caught] == []
+    vocals, rest = read_wav(out / "vocals.wav"), read_wav(out / "accompaniment.wav")
+    assert vocals.sample_rate == rest.sample_rate == 16000
+    assert vocals.samples.shape == rest.samples.shape == mix.samples.shape
+    assert mix.samples.shape == (2, 2 * clip.num_samples)
+    assert np.abs(vocals.samples).max() > 0
+    np.testing.assert_allclose(vocals.samples + rest.samples, mix.samples, rtol=0, atol=1e-6)
 
 
 def test_separate_rejects_stereo_mixture_for_mono_models(tmp_path, data_dir, forward_calls,
