@@ -37,7 +37,6 @@ __all__ = [
     "relu",
     "sigmoid",
     "tanh",
-    "tsum",
     "tmean",
     "affine",
     "conv2d",
@@ -117,20 +116,31 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Reverse-mode sweep from a scalar loss node."""
+        """Reverse-mode sweep from a scalar loss node. The sweep frees the
+        graph as it goes: once a non-leaf's backward has run, its grad,
+        closure and parents are dropped, so only the leaves' gradients
+        outlive it. A swept graph raises GraphError if swept again."""
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar loss, got shape %r" % (self.shape,))
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _swept, ()
 
     def __repr__(self):
         return "Tensor(shape=%r, requires_grad=%r)" % (self.shape, self.requires_grad)
 
     def __getitem__(self, key):
         return getitem(self, key)
+
+
+def _swept(g):
+    raise GraphError("backward() already swept this graph; build it again")
 
 
 def _toposort(root):
@@ -269,16 +279,6 @@ def tanh(a):
     def backward(g):
         if a.requires_grad:
             a._accumulate(g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), backward)
-
-
-def tsum(a):
-    out_data = np.asarray(a.data.sum())
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.broadcast_to(g, a.shape))
 
     return _make(out_data, (a,), backward)
 

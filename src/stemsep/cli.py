@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import arch as arch_mod
 from . import evaluation, train as train_mod
 from .arch import ConfigError
-from .dsp import InputError, read_wav, stft, warn_if_unexpected_rate, write_wav
+from .dsp import InputError, read_wav, write_wav
 from .model import (
     CheckpointError,
     build_model,
@@ -24,7 +24,7 @@ from .model import (
     load_checkpoint_model,
     save_checkpoint,
 )
-from .separation import SOURCE_NAMES, SeparationError, normalize_magnitude, separate_track
+from .separation import SOURCE_NAMES, SeparationError, separate_track
 from .train import TrainConfig, TrainError, make_toy_dataset
 
 
@@ -179,12 +179,11 @@ def cmd_inspect(args):
         model = load_checkpoint_model(args.checkpoint)
     else:
         model = build_model(_load_arch(args), seed=0)
-    spec = model.spec
     total, itemized = count_params(model)
     print("total parameters: %d" % total)
     for key in sorted(itemized):
         print("  %-24s %10d" % (key, itemized[key]))
-    rf = arch_mod.receptive_field(spec)
+    rf = arch_mod.receptive_field(model.spec)
     print("receptive field (conv frames):")
     for band in sorted(rf["per_band"]):
         info = rf["per_band"][band]
@@ -192,11 +191,10 @@ def cmd_inspect(args):
         print("  %-8s %4d%s" % (band, info["conv_frames"], suffix))
     print("  overall  %4d" % rf["overall_conv_frames"])
     if args.input is not None:
+        # the probe sees exactly the input separate gives the model
         clip = read_wav(args.input)
-        warn_if_unexpected_rate(clip, expected=spec.sample_rate)
-        mag, _ = normalize_magnitude(stft(clip, fft_size=spec.fft_size).magnitude())
-        model.set_training(False)  # BN reads the loaded running statistics, unchanged
-        norms, lstm_channel = feature_map_norms(model, mag, args.slot)
+        norms, lstm_channel = feature_map_norms(
+            model, args.slot, lambda: separate_track({"probe": model}, clip, wiener=False))
         print("feature-map RMS at %s:" % args.slot)
         for i, v in enumerate(norms):
             tag = "  <- lstm map" if lstm_channel == i else ""

@@ -9,7 +9,6 @@ exactly up to floating-point error.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,11 +215,3 @@ def write_wav(path, clip: AudioClip, dtype="float32"):
         raise InputError("unsupported output dtype %r" % (dtype,))
     wavfile.write(path, clip.sample_rate, data)
 
-
-def warn_if_unexpected_rate(clip: AudioClip, expected=DEFAULT_SAMPLE_RATE):
-    if clip.sample_rate != expected:
-        warnings.warn(
-            "clip sample rate %d Hz differs from the %d Hz the band layout assumes"
-            % (clip.sample_rate, expected),
-            stacklevel=2,
-        )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 
 DEFAULT_DTYPE = np.float64
 
@@ -29,9 +28,8 @@ class Module:
         return self.forward(*args, **kwargs)
 
     def add_param(self, name, array):
-        t = Tensor(np.asarray(array), requires_grad=True)
-        self._params[name] = t
-        return t
+        self._params[name] = ad.parameter(array)
+        return self._params[name]
 
     def add_buffer(self, name, array):
         self._buffers[name] = np.asarray(array)
@@ -73,10 +71,10 @@ class Module:
         return self
 
 
-def _uniform_fan_in(rng, shape, fan_in, dtype=DEFAULT_DTYPE):
+def _uniform_fan_in(rng, shape, fan_in):
     # zero-mean uniform with bound 1/sqrt(fan_in)
     bound = 1.0 / np.sqrt(max(1, fan_in))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(DEFAULT_DTYPE)
 
 
 class Conv2d(Module):

@@ -356,12 +356,13 @@ def count_params(model: SeparationModel):
     return total, itemized
 
 
-def feature_map_norms(model: SeparationModel, mag, slot_name):
+def feature_map_norms(model: SeparationModel, slot_name, run):
     """Per-channel root-mean-square activation norms at a named slot
-    (e.g. 'band1/d4'). Returns (norms, lstm_channel_index_or_None).
+    (e.g. 'band1/d4') in the first model forward that run() makes.
+    Returns (norms, lstm_channel_index_or_None).
 
-    The slot's forward is shadowed on that one instance for a single
-    model run, to record its output.
+    The slot's forward is shadowed on that one instance while run()
+    runs, under no_grad, to record its output.
     """
     slots = {
         "band%s/%s" % (net.plan.name, s.position): net._children[s.position]
@@ -380,7 +381,7 @@ def feature_map_norms(model: SeparationModel, mag, slot_name):
     slot.forward = record
     try:
         with ad.no_grad():
-            model.forward(mag)
+            run()
     finally:
         del slot.forward
     act = outputs[0].data

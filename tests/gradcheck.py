@@ -1,6 +1,20 @@
-"""Finite-difference gradient checking for the autodiff tests."""
+"""Finite-difference gradient checking for the autodiff tests, and the
+sum-to-scalar op their losses are built with."""
 
 import numpy as np
+
+from stemsep import autodiff as ad
+
+
+def tsum(a):
+    """The sum of a tensor's entries, as a graph node."""
+    out_data = np.asarray(a.data.sum())
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(np.broadcast_to(g, a.shape))
+
+    return ad._make(out_data, (a,), backward)
 
 
 def grad_check(build_loss, params, step=1e-3, tol=1e-4, rng=None, max_entries=6,

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradcheck import grad_check
+from gradcheck import grad_check, tsum
 from stemsep import autodiff as ad
 from stemsep.layers import BiLSTM, Conv2d
 from stemsep.model import DenseLayer
@@ -137,7 +137,7 @@ def test_conv2d_backward_matches_nested_loop_oracle(c_in, c_out, kh, kw, padding
     if padding == "valid":
         y = y[interior(kh, kw, *xd.shape[1:])]
     g = rand(rng, *y.shape).astype(dtype)
-    ad.tsum(ad.mul(y, ad.constant(g))).backward()
+    tsum(ad.mul(y, ad.constant(g))).backward()
     for got, want in zip((x.grad, w.grad, b.grad), conv2d_grad_oracle(xd, w.data, g, padding)):
         assert got.dtype == dtype and got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=rel, atol=rel * np.abs(want).max())
@@ -336,7 +336,7 @@ def test_conv2d_narrower_than_kernel_matches_nested_loop_oracle(monkeypatch, kh,
     np.testing.assert_allclose(y.data, conv2d_oracle(xd, w.data, b.data, "same"),
                                rtol=1e-12, atol=1e-12)
     g = rand(rng, 2, 5, t)
-    ad.tsum(ad.mul(y, ad.constant(g))).backward()
+    tsum(ad.mul(y, ad.constant(g))).backward()
     for got, want in zip((x.grad, w.grad, b.grad), conv2d_grad_oracle(xd, w.data, g, "same")):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
@@ -346,7 +346,7 @@ def test_conv2d_on_a_map_without_columns():
     x = ad.parameter(np.ones((2, 4, 0)))
     w, b = ad.parameter(np.ones((3, 2, 3, 3))), ad.parameter(np.ones(3))
     y = ad.conv2d(x, w, b)
-    ad.tsum(y).backward()
+    tsum(y).backward()
     assert y.shape == (3, 4, 0) and x.grad.shape == (2, 4, 0)
     np.testing.assert_array_equal(w.grad, 0.0)
     np.testing.assert_array_equal(b.grad, 0.0)
@@ -642,7 +642,7 @@ def check_matches_unfused(monkeypatch, dtype, kh, kw, fo, train):
             else:
                 h, stats = ad.batch_norm_eval(x, gamma, beta, mean, var), [mean, var]
             y = ad.conv2d(ad.relu(h), w, b)
-        ad.tsum(ad.mul(y, g)).backward()
+        tsum(ad.mul(y, g)).backward()
         runs.append([y.data.copy()] + stats + [p.grad for p in params])
     for got, want in zip(*runs):
         assert got.dtype == dtype
@@ -679,14 +679,14 @@ def test_batch_norm_relu_conv2d_narrower_than_kernel_matches_oracle(monkeypatch,
     g = rand(rng, 2, 5, t)
     params = (x, gamma, beta, w, b)
     y, _, _ = ad.batch_norm_relu_conv2d(x, gamma, beta, w, b, None if train else (mean, var))
-    ad.tsum(ad.mul(y, ad.constant(g))).backward()
+    tsum(ad.mul(y, ad.constant(g))).backward()
     got = [y.data] + [p.grad for p in params]
     for p in params:
         p.zero_grad()
     h = ad.relu(ad.batch_norm_train(x, gamma, beta)[0] if train
                 else ad.batch_norm_eval(x, gamma, beta, mean, var))
     gh, gw, gb = conv2d_grad_oracle(h.data, w.data, g, "same")
-    ad.tsum(ad.mul(h, ad.constant(gh))).backward()
+    tsum(ad.mul(h, ad.constant(gh))).backward()
     want = [conv2d_oracle(h.data, w.data, b.data, "same"), x.grad, gamma.grad, beta.grad, gw, gb]
     for a, e in zip(got, want):
         np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-12 * np.abs(e).max())
@@ -734,7 +734,7 @@ def test_batch_norm_relu_train_matches_unfused(dtype):
         else:
             out, mean, var = ad.batch_norm_train(x, gamma, beta)
             out = ad.relu(out)
-        ad.tsum(ad.mul(out, g)).backward()
+        tsum(ad.mul(out, g)).backward()
         runs.append([out.data, mean, var] + [p.grad for p in params])
     for got, want in zip(*runs):
         assert got.dtype == dtype
@@ -773,7 +773,7 @@ def test_relu_basic_and_grad():
     p = ad.parameter(rand(rng, 3, 4) + np.where(rand(rng, 3, 4) > 0, 0.5, -0.5))
 
     def build():
-        return ad.tsum(ad.mul(ad.relu(p), ad.relu(p)))
+        return tsum(ad.mul(ad.relu(p), ad.relu(p)))
 
     report = grad_check(build, [("p", p)], rng=rng, max_entries=12)
     assert report["passed"], report
@@ -812,7 +812,7 @@ def test_concat_channels_order_and_grad():
 
     def build():
         cat = ad.concat([a, b], axis=0)
-        return ad.tsum(ad.mul(cat, cat))
+        return tsum(ad.mul(cat, cat))
 
     report = grad_check(build, [("a", a), ("b", b)], rng=rng, max_entries=8)
     assert report["passed"], report
@@ -832,7 +832,7 @@ def test_concat_view_wraps_data_without_copy():
     buf = np.concatenate([a.data, b.data])
     out = ad.concat_view(buf, [a, b])
     assert out.data is buf
-    ad.tsum(ad.mul(out, out)).backward()
+    tsum(ad.mul(out, out)).backward()
     np.testing.assert_array_equal(a.grad, 2.0)
     np.testing.assert_array_equal(b.grad, 4.0)
     with pytest.raises(ad.ShapeError):
@@ -845,15 +845,30 @@ def test_concat_view_wraps_data_without_copy():
 
 def test_backward_sum_gives_ones():
     x = ad.parameter(np.arange(6.0).reshape(2, 3))
-    ad.tsum(x).backward()
+    tsum(x).backward()
     np.testing.assert_allclose(x.grad, 1.0)
 
 
 def test_backward_half_square_gives_x():
     x = ad.parameter(np.array([1.0, -2.0, 3.0]))
-    loss = ad.scale(ad.tsum(ad.mul(x, x)), 0.5)
+    loss = ad.scale(tsum(ad.mul(x, x)), 0.5)
     loss.backward()
     np.testing.assert_allclose(x.grad, x.data)
+
+
+def test_backward_on_a_swept_graph_raises():
+    """The sweep frees the graph, so sweeping it again, from the same loss
+    or from a new loss on one of its nodes, raises and leaves the leaf
+    gradients as the first sweep left them."""
+    x = ad.parameter(np.array([1.0, 2.0]))
+    y = ad.mul(x, x)
+    loss = tsum(y)
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    for again in (loss, tsum(y)):
+        with pytest.raises(ad.GraphError, match="already swept"):
+            again.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
 
 def test_backward_requires_scalar():
@@ -866,7 +881,7 @@ def test_backward_diamond_graph_accumulates_paths():
     # loss = sum(y + y) with y = 2x: dl/dx = 4 through two paths
     x = ad.parameter(np.array([1.0, 2.0]))
     y = ad.scale(x, 2.0)
-    loss = ad.tsum(ad.add(y, y))
+    loss = tsum(ad.add(y, y))
     loss.backward()
     np.testing.assert_allclose(x.grad, 4.0)
 
@@ -899,8 +914,8 @@ def test_grad_check_negative_control():
         # deliberately inconsistent: loss changes definition between calls
         calls["n"] += 1
         if calls["n"] == 1:
-            return ad.tsum(ad.mul(x, x))
-        return ad.scale(ad.tsum(ad.mul(x, x)), 3.0)
+            return tsum(ad.mul(x, x))
+        return ad.scale(tsum(ad.mul(x, x)), 3.0)
 
     report = grad_check(build, [("x", x)])
     assert not report["passed"]
@@ -997,7 +1012,7 @@ def test_getitem_gradients_equal_per_slice_zero_arrays(monkeypatch, graph):
             y = lstm(x)
         else:
             y = ad.concat([ad.mul(x, x), x[2:7], x[1:3], x[4:5]], axis=0)
-        return ad.tsum(ad.mul(y, y))
+        return tsum(ad.mul(y, y))
 
     grads = []
     for op in (ad.getitem, getitem_reference):

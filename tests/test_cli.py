@@ -167,7 +167,7 @@ def test_inspect_feature_norms_use_eval_mode(capsys, monkeypatch, trained_ckpt, 
         np.testing.assert_array_equal(got, want, err_msg=name)
     fresh.set_training(False)
     mag, _ = normalize_magnitude(stft(read_wav(wav), fft_size=fresh.spec.fft_size).magnitude())
-    norms, _ = feature_map_norms(fresh, mag, "band1/d2")
+    norms, _ = feature_map_norms(fresh, "band1/d2", lambda: fresh.forward(mag))
     printed = out.split("feature-map RMS at band1/d2:\n")[1].splitlines()
     assert [line.split()[1] for line in printed] == ["%.6g" % v for v in norms]
 
@@ -197,14 +197,27 @@ def test_inspect_needs_input_and_slot_together(capsys, trained_ckpt, data_dir, g
     assert "total parameters" not in captured.out
 
 
-def test_inspect_warns_on_unexpected_rate(tmp_path, trained_ckpt, data_dir):
+def test_inspect_resamples_as_separate_track_does(capsys, tmp_path, trained_ckpt, data_dir):
+    """A WAV at twice the arch rate is probed at the arch rate: inspect
+    prints the norms that feature_map_norms records while separate_track
+    runs on the same clip, with no warning."""
+    from scipy.signal import resample_poly
+
+    from stemsep.model import feature_map_norms
+    from stemsep.separation import separate_track
+
     clip = read_wav(os.path.join(data_dir, "track00", "mixture.wav"))
-    wav = tmp_path / "relabelled.wav"
-    write_wav(str(wav), AudioClip(clip.samples, 44100))
-    with pytest.warns(UserWarning, match="44100 Hz differs from the 8000 Hz"):
-        rc = cli.main(["inspect", "--checkpoint", trained_ckpt, "--input", str(wav),
-                       "--slot", "band1/d1"])
+    wav = tmp_path / "mix16k.wav"
+    write_wav(str(wav), AudioClip(resample_poly(clip.samples, 2, 1, axis=1), 16000))
+    rc = cli.main(["inspect", "--checkpoint", trained_ckpt, "--input", str(wav),
+                   "--slot", "band1/d1"])
     assert rc == 0
+    printed = capsys.readouterr().out.split("feature-map RMS at band1/d1:\n")[1].splitlines()
+    model, other = load_checkpoint_model(trained_ckpt), read_wav(wav)
+    assert other.sample_rate == 2 * model.spec.sample_rate
+    norms, _ = feature_map_norms(model, "band1/d1",
+                                 lambda: separate_track({"vocals": model}, other))
+    assert [line.split()[1] for line in printed] == ["%.6g" % v for v in norms]
 
 
 def test_inspect_rejects_zero_growth_lstm_only_band(capsys, tmp_path):
@@ -537,3 +550,50 @@ def test_separate_writes_what_separate_track_gives(tmp_path, data_dir):
         "accompaniment.wav", "drums.wav", "vocals.wav"]
     for name, data in expected.items():
         assert (out / name).read_bytes() == data
+
+
+def _front_end_samples(clip, case):
+    """(samples, rate) of one mixture class, made from a stereo clip."""
+    from scipy.signal import resample_poly
+
+    x, rate = clip.samples, clip.sample_rate
+    if case == "mono":
+        return x[:1], rate
+    if case == "twice-rate":
+        return resample_poly(x, 2, 1, axis=1), 2 * rate
+    if case == "nan":
+        x = x.copy()
+        x[1, 100] = np.nan
+        return x, rate
+    if case == "3-channel":
+        return np.concatenate([x, x[:1]]), rate
+    if case == "empty":
+        return x[:, :0], rate
+    return x, rate
+
+
+@pytest.mark.parametrize("case,code", [
+    ("stereo", 0), ("mono", 0), ("twice-rate", 0),
+    ("nan", 5), ("3-channel", 3), ("empty", 3),
+])
+def test_separate_and_inspect_share_the_mixture_front_end(
+        tmp_path, data_dir, forward_calls, capsys, case, code):
+    """separate and inspect --input --slot read a mixture through the same
+    front end: the same exit code and error line on every input class,
+    one model forward when it is accepted and none when it is rejected."""
+    from scipy.io import wavfile
+
+    clip = read_wav(os.path.join(data_dir, "track00", "mixture.wav"))
+    samples, rate = _front_end_samples(clip, case)
+    wav = tmp_path / ("%s.wav" % case)
+    wavfile.write(wav, rate, samples.T.astype(np.float32))
+    ckpt = _save_toy(tmp_path / "vocals.ckpt", 1)
+    errors = []
+    for argv in (["separate", str(wav), "--checkpoints", ckpt, "--out", str(tmp_path / "out")],
+                 ["inspect", "--checkpoint", ckpt, "--input", str(wav), "--slot", "band1/d1"]):
+        forward_calls.clear()
+        assert cli.main(argv) == code, argv[0]
+        assert len(forward_calls) == (code == 0), argv[0]
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert (errors[0] == "") == (code == 0)

@@ -118,9 +118,3 @@ def test_read_wav_unsigned_8bit(tmp_path):
     assert clip.sample_rate == 8000
     expected = np.array([[-1.0, -0.5, 0.0, 127 / 128], [127 / 128, 0.0, 0.5, -127 / 128]])
     np.testing.assert_array_equal(clip.samples, expected)
-
-
-def test_unexpected_sample_rate_warns():
-    clip = dsp.AudioClip(np.zeros((1, 100)), sample_rate=22050)
-    with pytest.warns(UserWarning):
-        dsp.warn_if_unexpected_rate(clip)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from closed_forms import lstm_block_param_count
+from gradcheck import tsum
 from stemsep import autodiff as ad
 from stemsep import model as mdl
 from stemsep.arch import (
@@ -94,7 +96,7 @@ def test_dense_block_matches_concat_reference(dtype, layers, training):
         for p in params:
             p.zero_grad()
         y = run(x)
-        ad.tsum(ad.mul(y, y)).backward()
+        tsum(ad.mul(y, y)).backward()
         grads.append((y.data.copy(), [p.grad for p in params]))
     (y_new, g_new), (y_ref, g_ref) = grads
     assert y_new.dtype == dtype
@@ -466,6 +468,31 @@ def test_lstm_module_totals_match_closed_form():
     assert actual == expected > 0
 
 
+def test_train_backward_keeps_only_the_parameter_gradients():
+    """Once a train-mode backward on the toy model returns, the memory it
+    left is the parameter gradients plus a small margin for array
+    headers: the sweep dropped every intermediate gradient, backward
+    closure and saved activation."""
+    from stemsep.train import mse_loss
+
+    spec = toy_arch()
+    m = SeparationModel(spec, seed=31)
+    grad_bytes = sum(p.data.nbytes for _, p in m.named_params())
+    x, target = np.abs(RNG(32).standard_normal((2, 2, spec.num_bins, 16)))
+    tracemalloc.start()
+    try:
+        loss = mse_loss(m.forward(x), ad.constant(target))
+        graph = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for _, p in m.named_params())
+    assert graph > 20 * grad_bytes
+    assert held < 2 * grad_bytes, (held, grad_bytes)
+
+
 # ---------------------------------------------------------------------------
 # feature map norms
 
@@ -475,7 +502,8 @@ def test_feature_map_norms_zero_input():
     m = SeparationModel(spec, seed=24)
     m.set_training(False)
     x = np.zeros((2, spec.num_bins, 8))
-    norms, lstm_channel = mdl.feature_map_norms(m, x, "1/d2".replace("1/", "band1/"))
+    norms, lstm_channel = mdl.feature_map_norms(m, "1/d2".replace("1/", "band1/"),
+                                                lambda: m.forward(x))
     np.testing.assert_allclose(norms, 0.0, atol=1e-12)
     assert lstm_channel == len(norms) - 1  # Sa puts the LSTM map last
 
@@ -485,7 +513,7 @@ def test_feature_map_norms_rms_convention_and_oracle():
     m = SeparationModel(spec, seed=25)
     m.set_training(False)
     x = np.abs(RNG(26).standard_normal((2, spec.num_bins, 8)))
-    norms, _ = mdl.feature_map_norms(m, x, "band1/d1")
+    norms, _ = mdl.feature_map_norms(m, "band1/d1", lambda: m.forward(x))
     # oracle: band1's stem and d1 slot run by hand on the band's input
     # slice, which needs no padding in either axis here
     net = m._children["band1"]
@@ -504,7 +532,7 @@ def test_feature_map_norms_unknown_slot():
     spec = toy_arch()
     m = SeparationModel(spec, seed=27)
     with pytest.raises(KeyError):
-        mdl.feature_map_norms(m, np.zeros((2, spec.num_bins, 4)), "band9/d1")
+        mdl.feature_map_norms(m, "band9/d1", lambda: m.forward(np.zeros((2, spec.num_bins, 4))))
 
 
 # ---------------------------------------------------------------------------
