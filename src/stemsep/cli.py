@@ -22,6 +22,7 @@ from .model import (
     count_params,
     feature_map_norms,
     load_checkpoint_model,
+    named_slots,
     save_checkpoint,
 )
 from .separation import SOURCE_NAMES, SeparationError, separate_track
@@ -179,6 +180,9 @@ def cmd_inspect(args):
         model = load_checkpoint_model(args.checkpoint)
     else:
         model = build_model(_load_arch(args), seed=0)
+    slots = sorted(named_slots(model))
+    if args.slot is not None and args.slot not in slots:
+        raise UsageError("unknown slot %r; available: %s" % (args.slot, ", ".join(slots)))
     total, itemized = count_params(model)
     print("total parameters: %d" % total)
     for key in sorted(itemized):

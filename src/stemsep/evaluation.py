@@ -17,8 +17,10 @@ The reference side of the projections is shared, as in BSSEval v4
 (museval; Stoeter, Liutkus & Ito 2018). For each scoring window and
 reference channel one ``_Basis`` computes the rFFT of every reference
 once, the Gram matrix of all delayed references once, and one
-``cho_factor`` of the Gram of the span references. Each estimate then
-costs one rFFT, one set of cross-correlations with the references, a
+``cho_factor`` of the Gram of the span references. It also keeps every
+reference's rFFT at ``scipy.signal.fftconvolve``'s own length, so each
+projection transforms only its filter. Each estimate then costs one
+rFFT, one set of cross-correlations with the references, a
 ``cho_solve``, and the ``fftconvolve`` projections. The target-only
 projection's Gram is a diagonal block of the shared matrix. A source
 outside the span (``accompaniment``) comes first in its basis, so that
@@ -36,8 +38,8 @@ from __future__ import annotations
 import json
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.linalg import cho_factor, cho_solve, solve, toeplitz
-from scipy.signal import fftconvolve
 
 DEFAULT_FILTER_LEN = 512
 DEFAULT_WINDOW_S = 30.0
@@ -61,6 +63,18 @@ def _pad_tail(x, extra):
 def _lags(xcorr, flen):
     """Lags 0..flen-1 of a circular cross-correlation."""
     return np.hstack((xcorr[0], xcorr[-1:-flen:-1]))
+
+
+def fftconvolve(spectrum, kernel, n):
+    """First n samples of the linear convolution of a signal, given as
+    its length-n rFFT, with a kernel of 2 or more samples. This is
+    scipy.signal.fftconvolve's arithmetic at n = next_fast_len(
+    len(signal) + len(kernel) - 1, True), so the samples are bitwise
+    equal to fftconvolve's. The kernel spectrum is bound to a name: as an
+    unnamed temporary, numpy may reuse it for the product and swap the
+    operands."""
+    kernel_spectrum = rfftn(kernel, [n])
+    return irfftn(spectrum * kernel_spectrum, [n])
 
 
 def _ridge_solve(g, d):
@@ -105,6 +119,8 @@ class _Basis:
                 self.gram[i * flen:(i + 1) * flen, j * flen:(j + 1) * flen] = block
                 self.gram[j * flen:(j + 1) * flen, i * flen:(i + 1) * flen] = block.T
         self._factors = {}  # (lo, hi) -> factor; only the span's is kept
+        self.n_conv = next_fast_len(nsampl + flen - 1, True)
+        self.conv_spectra = [rfftn(r, [self.n_conv]) for r in self.refs]
 
     def _sub_gram(self, lo, hi):
         """Gram of references[lo:hi], a view of the shared matrix."""
@@ -135,7 +151,10 @@ class _Basis:
         flen, nsampl = self.flen, self.refs.shape[1]
         proj = np.zeros(nsampl)
         for k, i in enumerate(range(lo, hi)):
-            proj += fftconvolve(self.refs[i], coef[k * flen:(k + 1) * flen])[:nsampl]
+            h = coef[k * flen:(k + 1) * flen]
+            # scipy.signal.fftconvolve multiplies by a 1-sample kernel directly
+            proj += (self.refs[i] * h if flen == 1 else
+                     fftconvolve(self.conv_spectra[i], h, self.n_conv)[:nsampl])
         return proj
 
     def decompose(self, estimate, true_index):

@@ -356,6 +356,14 @@ def count_params(model: SeparationModel):
     return total, itemized
 
 
+def named_slots(model: SeparationModel):
+    """Slot name (e.g. 'band1/d4') -> slot module, for every slot."""
+    return {
+        "band%s/%s" % (net.plan.name, s.position): net._children[s.position]
+        for net in model.band_nets + [model.full_net] for s in net.plan.slots
+    }
+
+
 def feature_map_norms(model: SeparationModel, slot_name, run):
     """Per-channel root-mean-square activation norms at a named slot
     (e.g. 'band1/d4') in the first model forward that run() makes.
@@ -364,10 +372,7 @@ def feature_map_norms(model: SeparationModel, slot_name, run):
     The slot's forward is shadowed on that one instance while run()
     runs, under no_grad, to record its output.
     """
-    slots = {
-        "band%s/%s" % (net.plan.name, s.position): net._children[s.position]
-        for net in model.band_nets + [model.full_net] for s in net.plan.slots
-    }
+    slots = named_slots(model)
     if slot_name not in slots:
         raise KeyError("unknown slot %r; available: %s" % (slot_name, sorted(slots)))
     slot = slots[slot_name]

@@ -17,7 +17,6 @@ regularizer eps.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from . import autodiff as ad
 from .dsp import AudioClip, Spectrogram, istft, stft
@@ -191,6 +190,9 @@ def _resample(clip, rate, num_samples=None):
     """clip at `rate` (itself when it is at that rate), cut to num_samples."""
     if clip.sample_rate == rate:
         return clip
+    # scipy.signal costs most of the CLI's import time, and only this path uses it
+    from scipy.signal import resample_poly
+
     samples = resample_poly(clip.samples, rate, clip.sample_rate, axis=1)
     return AudioClip(samples[:, :num_samples], rate)
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -195,6 +197,21 @@ def test_inspect_needs_input_and_slot_together(capsys, trained_ckpt, data_dir, g
     captured = capsys.readouterr()
     assert "error (usage): --%s needs --%s" % (given, missing) in captured.err
     assert "total parameters" not in captured.out
+
+
+def test_inspect_rejects_unknown_slot_before_any_work(capsys, tmp_path, trained_ckpt):
+    # the WAV does not exist: reading it would exit 3
+    from stemsep.model import named_slots
+
+    rc = cli.main(["inspect", "--checkpoint", trained_ckpt,
+                   "--input", str(tmp_path / "missing.wav"), "--slot", "band9/d1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "total parameters" not in captured.out
+    slots = sorted(named_slots(load_checkpoint_model(trained_ckpt)))
+    assert "band1/d1" in slots
+    assert captured.err == "error (usage): unknown slot 'band9/d1'; available: %s\n" \
+        % ", ".join(slots)
 
 
 def test_inspect_resamples_as_separate_track_does(capsys, tmp_path, trained_ckpt, data_dir):
@@ -597,3 +614,33 @@ def test_separate_and_inspect_share_the_mixture_front_end(
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert (errors[0] == "") == (code == 0)
+
+
+# ---------------------------------------------------------------------------
+# start-up: scipy.signal is most of the import time, and only resampling
+# a mixture at another rate needs it
+
+
+@pytest.mark.parametrize("command", ["import", "separate", "train", "evaluate"])
+def test_commands_do_not_import_scipy_signal(tmp_path, data_dir, toy_arch_file,
+                                             trained_ckpt, command):
+    track = os.path.join(data_dir, "track00")
+    argv = {
+        "import": [],
+        "separate": ["separate", os.path.join(track, "mixture.wav"),
+                     "--checkpoints", trained_ckpt, "--out", str(tmp_path / "est")],
+        "train": ["train", data_dir, "--out", str(tmp_path / "vocals.ckpt"),
+                  "--arch", toy_arch_file, "--steps", "1", "--frames", "16", "--augment"],
+        "evaluate": ["evaluate", "--estimates", data_dir, "--references", data_dir,
+                     "--out", str(tmp_path / "scores.json"), "--filter-len", "8",
+                     "--window", "1.0", "--hop", "0.5"],
+    }[command]
+    code = ("import sys; from stemsep import cli; "
+            "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print(rc, 'scipy.signal' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

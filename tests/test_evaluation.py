@@ -2,7 +2,8 @@ import json
 
 import numpy as np
 import pytest
-from scipy.linalg import solve, toeplitz
+from scipy.fft import next_fast_len, rfftn
+from scipy.linalg import cho_solve, solve, toeplitz
 from scipy.signal import fftconvolve
 
 from stemsep import evaluation
@@ -371,6 +372,54 @@ def test_bss_project_matches_oracle(true_index):
     want = oracle_bss_project(est, refs, true_index, 16)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+class _PerReferenceBasis(evaluation._Basis):
+    """Oracle: the shared basis, projecting with one
+    scipy.signal.fftconvolve of each reference."""
+
+    def _project(self, lo, hi, d):
+        factor = self._factor(lo, hi)
+        coef = None if factor is None else cho_solve(factor, d, check_finite=False)
+        if coef is None or not np.all(np.isfinite(coef)):
+            coef = evaluation._ridge_solve(self._sub_gram(lo, hi), d)
+        flen, nsampl = self.flen, self.refs.shape[1]
+        proj = np.zeros(nsampl)
+        for k, i in enumerate(range(lo, hi)):
+            proj += fftconvolve(self.refs[i], coef[k * flen:(k + 1) * flen])[:nsampl]
+        return proj
+
+
+@pytest.mark.parametrize("n,filter_len", [(40000, 1), (40001, 16), (40000, 512)])
+@pytest.mark.parametrize("span", [0, 1])
+def test_projection_from_cached_spectra_is_bitwise_per_reference(n, filter_len, span):
+    # scores are checked at 1e-9 dB and rounding alone moves them by
+    # 5e-10 dB, so the components must be bitwise equal; with span 1 the
+    # first reference is the sum of the others, as accompaniment is
+    rng = np.random.default_rng(13)
+    refs = make_references(rng, nsrc=3, n=n)
+    if span:
+        refs = np.vstack([refs[1:].sum(axis=0), refs[1:]])
+    for true_index in range(3):
+        est = refs[true_index] + 0.3 * refs[(true_index + 1) % 3] \
+            + 0.1 * rng.standard_normal(n)
+        got = (bss_project(est, refs, true_index, filter_len) if span == 0 else
+               evaluation._Basis(refs, span, filter_len).decompose(est, true_index))
+        want = _PerReferenceBasis(refs, span, filter_len).decompose(est, true_index)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("nx", [40000, 40001])
+@pytest.mark.parametrize("nh", [2, 512])
+def test_fftconvolve_from_a_spectrum_is_scipys(nx, nh):
+    # a 1-sample kernel is a plain product in scipy, and in _project
+    # (test_projection_from_cached_spectra_is_bitwise_per_reference)
+    rng = np.random.default_rng(12)
+    x, h = rng.standard_normal(nx), rng.standard_normal(nh)
+    n = next_fast_len(nx + nh - 1, True)
+    got = evaluation.fftconvolve(rfftn(x, [n]), h, n)
+    assert np.array_equal(got[:nx + nh - 1], fftconvolve(x, h))
 
 
 def test_windowed_track_with_exclusions_matches_oracle():
