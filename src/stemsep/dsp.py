@@ -9,6 +9,7 @@ exactly up to floating-point error.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,55 +47,22 @@ class AudioClip:
         return self.samples.shape[1]
 
 
-@dataclass
-class Spectrogram:
-    """Complex STFT: bins is (channels, frames, fft_size//2 + 1)."""
-
-    bins: np.ndarray
-    fft_size: int
-    sample_rate: int
-    num_samples: int | None = None  # original clip length, for exact istft crop
-
-    def __post_init__(self):
-        if self.bins.ndim != 3 or self.bins.shape[2] != self.fft_size // 2 + 1:
-            raise InputError(
-                "bins must be (channels, frames, %d), got %r"
-                % (self.fft_size // 2 + 1, self.bins.shape)
-            )
-
-    @property
-    def hop(self):
-        return hop_size(self.fft_size)
-
-    @property
-    def num_channels(self):
-        return self.bins.shape[0]
-
-    def magnitude(self):
-        """Magnitude as a (channels, bins, frames) map for the model."""
-        return np.abs(self.bins).transpose(0, 2, 1)
-
-    def with_bins(self, bins):
-        return Spectrogram(
-            bins=bins,
-            fft_size=self.fft_size,
-            sample_rate=self.sample_rate,
-            num_samples=self.num_samples,
-        )
-
-
 def raised_cosine_window(n):
     """Periodic raised-cosine (hann) window of length n."""
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft(clip: AudioClip, fft_size=DEFAULT_FFT_SIZE) -> Spectrogram:
+def stft(samples, fft_size=DEFAULT_FFT_SIZE):
+    """Complex STFT of (channels, n) samples as a C-contiguous
+    (channels, fft_size // 2 + 1, frames) array: the layout of the
+    model's input, the masks and the Wiener filter, so a chunk of frames
+    is the slice x[:, :, a:b]. The tail is zero-padded so that every
+    sample lies in a whole frame."""
     hop = hop_size(fft_size)
-    if clip.num_samples == 0:
-        raise InputError("empty clip")
-    x = clip.samples
+    x = samples
     n = x.shape[1]
-    # zero-pad so every sample is covered by a whole frame
+    if n == 0:
+        raise InputError("empty clip")
     padded = max(n, fft_size)
     if (padded - fft_size) % hop:
         padded += hop - (padded - fft_size) % hop
@@ -104,17 +72,14 @@ def stft(clip: AudioClip, fft_size=DEFAULT_FFT_SIZE) -> Spectrogram:
     window = raised_cosine_window(fft_size)
     idx = np.arange(frames)[:, None] * hop + np.arange(fft_size)[None, :]
     segments = x[:, idx] * window  # (ch, frames, fft_size)
-    bins = np.fft.rfft(segments, axis=2)
-    return Spectrogram(
-        bins=bins,
-        fft_size=fft_size,
-        sample_rate=clip.sample_rate,
-        num_samples=n,
-    )
+    # the rFFT along the last axis, then one copy: an rFFT along axis 1 is slower
+    return np.ascontiguousarray(np.fft.rfft(segments, axis=2).transpose(0, 2, 1))
 
 
-def istft(spec: Spectrogram) -> AudioClip:
-    """Weighted overlap-add inverse with squared-window normalization.
+def istft(bins, fft_size, num_samples):
+    """(channels, num_samples) samples of a complex (channels,
+    fft_size // 2 + 1, frames) STFT: weighted overlap-add with
+    squared-window normalization.
 
     The squared-window normalizer is floored at 1% of its full-overlap
     value: for spectrograms that were modified (masked) after analysis,
@@ -123,22 +88,18 @@ def istft(spec: Spectrogram) -> AudioClip:
     are therefore attenuated instead of amplified; interior samples are
     reconstructed exactly.
     """
-    if spec.hop <= 0 or spec.fft_size <= 0:
-        raise InputError("inconsistent spectrogram metadata")
-    ch, frames, _ = spec.bins.shape
-    n = spec.fft_size
-    hop = spec.hop
+    ch, _, frames = bins.shape
+    n = fft_size
+    hop = hop_size(n)
     window = raised_cosine_window(n)
     total = (frames - 1) * hop + n
     out = np.zeros((ch, total))
-    segs = np.fft.irfft(spec.bins, n=n, axis=2) * window
+    segs = np.fft.irfft(bins.transpose(0, 2, 1), n=n, axis=2) * window
     for m in range(frames):
         out[:, m * hop:m * hop + n] += segs[:, m, :]
     norm = cola_profile(n, frames)
     out /= np.maximum(norm, 0.01 * norm.max())
-    if spec.num_samples is not None:
-        out = out[:, :spec.num_samples]
-    return AudioClip(out, spec.sample_rate)
+    return out[:, :num_samples]
 
 
 def cola_profile(fft_size=DEFAULT_FFT_SIZE, frames=16):
@@ -187,7 +148,10 @@ class BandLayout:
 
 
 def read_wav(path) -> AudioClip:
-    rate, data = wavfile.read(path)
+    try:
+        rate, data = wavfile.read(path)
+    except (ValueError, struct.error) as exc:  # not a WAV, or one cut short
+        raise InputError("%s: unreadable WAV: %s" % (path, exc)) from exc
     if data.ndim == 1:
         data = data[:, None]
     if data.shape[1] > 2:

@@ -448,11 +448,22 @@ class CheckpointError(RuntimeError):
 
 
 def read_checkpoint_header(path):
+    """(header, payload offset) of a checkpoint. Raises CheckpointError
+    naming the path when the header is cut short, not JSON, or lacks the
+    architecture or the entries."""
     with open(path, "rb") as fh:
         if fh.read(8) != CHECKPOINT_MAGIC:
             raise CheckpointError("%s: not a stemsep checkpoint" % path)
         n = int.from_bytes(fh.read(8), "little")
-        return json.loads(fh.read(n).decode()), fh.tell()
+        try:
+            header = json.loads(fh.read(n).decode())
+        except ValueError as exc:  # a cut or garbled header
+            raise CheckpointError("%s: unreadable checkpoint header: %s" % (path, exc)) from exc
+        missing = [key for key in ("arch_sha256", "arch_text", "entries")
+                   if not isinstance(header, dict) or key not in header]
+        if missing:
+            raise CheckpointError("%s: checkpoint header lacks %s" % (path, ", ".join(missing)))
+        return header, fh.tell()
 
 
 def load_checkpoint(path, model: SeparationModel):
@@ -475,7 +486,10 @@ def load_checkpoint(path, model: SeparationModel):
         if tuple(target.shape) != tuple(entry["shape"]):
             raise CheckpointError("shape mismatch for %r" % name)
         raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype=_DTYPE_TAGS[entry["dtype"]]).reshape(entry["shape"])
+        try:
+            arr = np.frombuffer(raw, dtype=_DTYPE_TAGS[entry["dtype"]]).reshape(entry["shape"])
+        except ValueError as exc:  # the payload ends before the entry does
+            raise CheckpointError("%s: payload does not hold %s %r" % (path, kind, name)) from exc
         loaded.append((kind, target, arr.astype(entry["dtype"])))
     given = {(entry["kind"], entry["name"]) for entry in header["entries"]}
     missing = ["%s %r" % key for key in targets if key not in given]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .dsp import AudioClip, Spectrogram, istft, stft
+from .dsp import AudioClip, istft, stft
 
 SOURCE_NAMES = ("bass", "drums", "other", "vocals")
 SOFT_MASK_EPS = 1e-12  # added to the summed source power
@@ -146,11 +146,11 @@ def normalize_magnitude(mag):
     return mag / norm, norm
 
 
-def estimate_magnitudes(models: dict, spec: Spectrogram) -> dict:
-    """Run each source model on the (normalized) mixture magnitude. A
-    mono magnitude goes to a stereo model on both channels, and the
-    channel mean of its estimate comes back."""
-    mag, norm = normalize_magnitude(spec.magnitude())
+def estimate_magnitudes(models: dict, mag) -> dict:
+    """Run each source model on the (normalized) (ch, f, t) mixture
+    magnitude. A mono magnitude goes to a stereo model on both channels,
+    and the channel mean of its estimate comes back."""
+    mag, norm = normalize_magnitude(mag)
     out = {}
     for name, model in models.items():
         model.set_training(False)
@@ -161,15 +161,14 @@ def estimate_magnitudes(models: dict, spec: Spectrogram) -> dict:
     return out
 
 
-def separate_spectrogram(spec: Spectrogram, estimate_mags: dict, wiener=True):
-    """Turn magnitude estimates into per-source complex STFTs."""
-    x = spec.bins.transpose(0, 2, 1)  # (ch, f, t)
-    if wiener and spec.num_channels == 2:
-        complex_est = multichannel_wiener(x, estimate_mags)
-    else:
-        masks = soft_mask({n: m ** 2 for n, m in estimate_mags.items()})
-        complex_est = {n: masks[n] * x for n in estimate_mags}
-    return {n: spec.with_bins(c.transpose(0, 2, 1)) for n, c in complex_est.items()}
+def separate_spectrogram(x, estimate_mags: dict, wiener=True):
+    """Per-source complex (ch, f, t) STFTs from the mixture STFT x and
+    (ch, f, t) magnitude estimates: Wiener-filtered for a stereo x,
+    soft-masked otherwise."""
+    if wiener and len(x) == 2:
+        return multichannel_wiener(x, estimate_mags)
+    masks = soft_mask({n: m ** 2 for n, m in estimate_mags.items()})
+    return {n: masks[n] * x for n in estimate_mags}
 
 
 def _input_arch(models: dict, blend_with: dict | None):
@@ -232,21 +231,19 @@ def separate_track(models: dict, clip: AudioClip, wiener=True,
                               % (channels, arch.io_channels))
     if not np.all(np.isfinite(clip.samples)):
         raise SeparationError("non-finite samples in the mixture")
-    spec = stft(_resample(clip, arch.sample_rate), fft_size=arch.fft_size)
-    mags = estimate_magnitudes(models, spec)
+    mixture = _resample(clip, arch.sample_rate)
+    x = stft(mixture.samples, arch.fft_size)
+    mags = estimate_magnitudes(models, np.abs(x))
     if blend_with is not None:
-        mags = blend(mags, estimate_magnitudes(blend_with, spec), blend_weight)
+        mags = blend(mags, estimate_magnitudes(blend_with, np.abs(x)), blend_weight)
     if len(mags) == 1:
         # single-model runs still get a two-source Wiener pass against
         # the spectral residual
-        (only_name, only_mag), = mags.items()
-        residual = np.maximum(spec.magnitude() - only_mag, 0.0)
-        specs = separate_spectrogram(spec, {only_name: only_mag, "_rest": residual},
-                                     wiener=wiener)
-        specs.pop("_rest")
-    else:
-        specs = separate_spectrogram(spec, mags, wiener=wiener)
-    out = {n: _resample(istft(s), clip.sample_rate, clip.num_samples) for n, s in specs.items()}
+        mags["_rest"] = np.maximum(np.abs(x) - mags[next(iter(models))], 0.0)
+    stems = separate_spectrogram(x, mags, wiener=wiener)
+    out = {n: _resample(AudioClip(istft(stems[n], arch.fft_size, mixture.num_samples),
+                                  arch.sample_rate), clip.sample_rate, clip.num_samples)
+           for n in models}
     if "vocals" in out:
         residual = clip.samples - out["vocals"].samples
         out["accompaniment"] = AudioClip(residual, clip.sample_rate)

@@ -160,13 +160,9 @@ def make_excerpt(mixture_clip, target_clip, start_frame, frames,
     magnitude RMS over the excerpt."""
     hop = hop_size(fft_size)
     start = start_frame * hop
-    need = (frames - 1) * hop + fft_size
-    mix = AudioClip(mixture_clip.samples[:, start:start + need],
-                    mixture_clip.sample_rate)
-    tgt = AudioClip(target_clip.samples[:, start:start + need],
-                    target_clip.sample_rate)
-    mix_mag = stft(mix, fft_size=fft_size).magnitude()[:, :, :frames]
-    tgt_mag = stft(tgt, fft_size=fft_size).magnitude()[:, :, :frames]
+    cut = slice(start, start + (frames - 1) * hop + fft_size)
+    mix_mag = np.abs(stft(mixture_clip.samples[:, cut], fft_size))[:, :, :frames]
+    tgt_mag = np.abs(stft(target_clip.samples[:, cut], fft_size))[:, :, :frames]
     mix_mag, norm = normalize_magnitude(mix_mag)
     return mix_mag, tgt_mag / norm
 

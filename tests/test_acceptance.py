@@ -214,7 +214,7 @@ def test_criterion_2_oracles():
 def test_criterion_3_stft_round_trip():
     rng = np.random.default_rng(3)
     clip = dsp.AudioClip(0.3 * rng.standard_normal((2, 44100)))
-    rec = dsp.istft(dsp.stft(clip)).samples
+    rec = dsp.istft(dsp.stft(clip.samples), dsp.DEFAULT_FFT_SIZE, clip.num_samples)
     interior = slice(4096, 44100 - 4096)
     err = np.abs(rec[:, interior] - clip.samples[:, interior]).max()
     scale = np.abs(clip.samples[:, interior]).max()
@@ -372,12 +372,10 @@ def test_criterion_7_sdr_properties():
 
 def _ibm_estimates(clips):
     names = ("bass", "drums", "other", "vocals")
-    spec = dsp.stft(clips["mixture"])
-    mags = {n: dsp.stft(clips[n]).magnitude() for n in names}
-    masks = ideal_binary_mask(mags)
-    x = spec.bins.transpose(0, 2, 1)
+    x = dsp.stft(clips["mixture"].samples)
+    masks = ideal_binary_mask({n: np.abs(dsp.stft(clips[n].samples)) for n in names})
     return {
-        n: dsp.istft(spec.with_bins((masks[n] * x).transpose(0, 2, 1))).samples
+        n: dsp.istft(masks[n] * x, dsp.DEFAULT_FFT_SIZE, clips["mixture"].num_samples)
         for n in names
     }
 

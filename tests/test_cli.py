@@ -168,7 +168,7 @@ def test_inspect_feature_norms_use_eval_mode(capsys, monkeypatch, trained_ckpt, 
     for (name, got), (_, want) in zip(loaded[0].named_buffers(), buffers):
         np.testing.assert_array_equal(got, want, err_msg=name)
     fresh.set_training(False)
-    mag, _ = normalize_magnitude(stft(read_wav(wav), fft_size=fresh.spec.fft_size).magnitude())
+    mag, _ = normalize_magnitude(np.abs(stft(read_wav(wav).samples, fresh.spec.fft_size)))
     norms, _ = feature_map_norms(fresh, "band1/d2", lambda: fresh.forward(mag))
     printed = out.split("feature-map RMS at band1/d2:\n")[1].splitlines()
     assert [line.split()[1] for line in printed] == ["%.6g" % v for v in norms]
@@ -336,6 +336,53 @@ def test_missing_input_exit_code(tmp_path):
     rc = cli.main(["separate", str(tmp_path / "nope.wav"),
                    "--checkpoints", str(tmp_path), "--out", str(tmp_path / "o")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("kind", ["text", "cut-riff"])
+def test_separate_unreadable_wav_exit_code(capsys, tmp_path, trained_ckpt, data_dir, kind):
+    # scipy raises ValueError on a file that is not RIFF, and struct.error
+    # on a RIFF header that ends inside its fmt chunk
+    wav = tmp_path / "mix.wav"
+    if kind == "text":
+        wav.write_text("not a wav file\n")
+    else:
+        with open(os.path.join(data_dir, "track00", "mixture.wav"), "rb") as fh:
+            wav.write_bytes(fh.read(30))
+    rc = cli.main(["separate", str(wav), "--checkpoints", trained_ckpt,
+                   "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "error (input): %s: unreadable WAV" % wav in capsys.readouterr().err
+
+
+def _malform_checkpoint(src, dst, case):
+    """Copy of the checkpoint src at dst, cut or with a header key dropped."""
+    with open(src, "rb") as fh:
+        data = fh.read()
+    n = int.from_bytes(data[8:16], "little")
+    if case == "cut":
+        data = data[:60]
+    elif case == "short-payload":
+        data = data[:-8]
+    else:
+        header = json.loads(data[16:16 + n])
+        del header[case]
+        text = json.dumps(header).encode()
+        data = data[:8] + len(text).to_bytes(8, "little") + text + data[16 + n:]
+    dst.write_bytes(data)
+
+
+@pytest.mark.parametrize("case", ["cut", "arch_text", "entries", "short-payload"])
+@pytest.mark.parametrize("command", ["separate", "inspect"])
+def test_malformed_checkpoint_exit_code(capsys, tmp_path, trained_ckpt, data_dir,
+                                        case, command):
+    ckpt = tmp_path / "vocals.ckpt"
+    _malform_checkpoint(trained_ckpt, ckpt, case)
+    argv = (["separate", os.path.join(data_dir, "track00", "mixture.wav"),
+             "--checkpoints", str(ckpt), "--out", str(tmp_path / "o")]
+            if command == "separate" else ["inspect", "--checkpoint", str(ckpt)])
+    rc = cli.main(argv)
+    assert rc == 4
+    assert "error (config): %s: " % ckpt in capsys.readouterr().err
 
 
 def test_bad_arch_exit_code(tmp_path, data_dir):

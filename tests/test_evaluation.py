@@ -449,6 +449,36 @@ def test_ridge_fallback_on_dependent_references_matches_oracle(monkeypatch):
                                         evaluation.DEFAULT_HOP_S, 1000)
 
 
+def _mixture_and_vocals_only(rng):
+    # a reference dir with only mixture.wav and vocals.wav: the CLI scores
+    # accompaniment as mixture - vocals, with vocals alone in the span
+    stems = toy_stems(rng, 3000)
+    mixture = sum(stems[n] for n in ("bass", "drums", "other", "vocals"))
+    return {"vocals": stems["vocals"], "accompaniment": mixture - stems["vocals"]}
+
+
+def _accompaniment_rounded_on_its_own(rng):
+    # stems and accompaniment each rounded to a 16-bit grid, as separately
+    # written WAVs are: accompaniment is near the span, not in it
+    stems = toy_stems(rng, 3000)
+    return {n: np.round(v * 4096) / 4096 for n, v in stems.items()}
+
+
+@pytest.mark.parametrize("make_refs", [_mixture_and_vocals_only,
+                                       _accompaniment_rounded_on_its_own])
+def test_accompaniment_outside_the_span_is_solved_by_cholesky(monkeypatch, make_refs):
+    # accompaniment's bordered Gram is positive definite here, so its
+    # projection is the exact Cholesky solve, with no ridge fallback
+    rng = np.random.default_rng(14)
+    refs = make_refs(rng)
+    ests = noisy_estimates(rng, refs)
+    counter = SolveCounter(monkeypatch)
+    got = evaluate_track(refs, ests, filter_len=8, sample_rate=1000)
+    assert counter.calls == 0
+    assert got == oracle_evaluate_track(refs, ests, 8, evaluation.DEFAULT_WINDOW_S,
+                                        evaluation.DEFAULT_HOP_S, 1000)
+
+
 def test_independent_references_need_no_fallback(monkeypatch):
     rng = np.random.default_rng(13)
     refs = toy_stems(rng, 3000)

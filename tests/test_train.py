@@ -124,8 +124,8 @@ def test_augment_gain_scales_stft_magnitude():
     rng = np.random.default_rng(5)
     clip = dsp.AudioClip(0.1 * rng.standard_normal((2, 4096)), 8000)
     doubled = dsp.AudioClip(2.0 * clip.samples, 8000)
-    m1 = dsp.stft(clip, fft_size=256).magnitude()
-    m2 = dsp.stft(doubled, fft_size=256).magnitude()
+    m1 = np.abs(dsp.stft(clip.samples, fft_size=256))
+    m2 = np.abs(dsp.stft(doubled.samples, fft_size=256))
     np.testing.assert_allclose(m2, 2.0 * m1, rtol=1e-10, atol=1e-14)
 
 
