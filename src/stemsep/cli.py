@@ -1,8 +1,11 @@
 """Command-line interface: train, separate, evaluate, inspect, synth-data.
 
 Every run echoes its resolved configuration before doing work. Exit
-codes: 0 success, 2 usage, 3 missing/unreadable files, 4 bad
-configuration or checkpoints, 5 data errors, 1 anything else.
+codes: 0 success, 2 usage, 3 a missing, unreadable or unsupported input
+file (a WAV that is cut short, has no samples, more than two channels or
+samples other than 8-bit unsigned, 16-, 24- or 32-bit PCM or 32- or
+64-bit float), 4 bad configuration or checkpoints, 5 data errors, 1
+anything else. Only `evaluate` imports `evaluation`, and with it scipy.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import arch as arch_mod
-from . import evaluation, train as train_mod
+from . import train as train_mod
 from .arch import ConfigError
-from .dsp import InputError, read_wav, write_wav
+from .dsp import (DEFAULT_FILTER_LEN, DEFAULT_HOP_S, DEFAULT_WINDOW_S, InputError,
+                  read_wav, write_wav)
 from .model import (
     CheckpointError,
     build_model,
@@ -128,6 +132,8 @@ def _load_stems(track_dir):
 
 def _eval_one(job):
     """Score one track at the sample rate its WAVs share."""
+    from . import evaluation
+
     name, ref_dir, est_dir, filter_len, window_s, hop_s = job
     loaded = {"reference": _load_stems(ref_dir), "estimate": _load_stems(est_dir)}
     rates = {"%s %s" % (kind, n): c.sample_rate
@@ -142,6 +148,7 @@ def _eval_one(job):
     if "accompaniment" in ests and "accompaniment" not in refs \
             and mixture is not None and "vocals" in refs:
         refs["accompaniment"] = mixture - refs["vocals"]
+    del loaded, mixture  # only refs and ests are scored
     result = evaluation.evaluate_track(
         refs, ests, filter_len=filter_len, window_s=window_s, hop_s=hop_s,
         sample_rate=rate,
@@ -150,6 +157,9 @@ def _eval_one(job):
 
 
 def cmd_evaluate(args):
+    # scipy loads here, before the first WAV read; no other command needs it
+    from . import evaluation
+
     ref_tracks = _track_dirs(args.references)
     est_tracks = _track_dirs(args.estimates)
     common = sorted(set(ref_tracks) & set(est_tracks))
@@ -257,10 +267,10 @@ def build_parser():
     p.add_argument("--references", required=True)
     p.add_argument("--out", required=True, help="JSON scores file")
     p.add_argument("--filter-len", type=int,
-                   default=evaluation.DEFAULT_FILTER_LEN)
-    p.add_argument("--window", type=float, default=evaluation.DEFAULT_WINDOW_S,
+                   default=DEFAULT_FILTER_LEN)
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW_S,
                    help="scoring window in seconds")
-    p.add_argument("--hop", type=float, default=evaluation.DEFAULT_HOP_S,
+    p.add_argument("--hop", type=float, default=DEFAULT_HOP_S,
                    help="scoring hop in seconds")
     p.add_argument("--jobs", type=int, default=1, help="parallel tracks")
     p.set_defaults(func=cmd_evaluate)
@@ -287,8 +297,7 @@ _ERROR_CODES = (
     ((UsageError,), "usage", 2),
     ((FileNotFoundError, NotADirectoryError, InputError), "input", 3),
     ((ConfigError, CheckpointError, TrainError), "config", 4),
-    ((SeparationError, evaluation.EvalError, KeyError, ValueError,
-      ArithmeticError), "data", 5),
+    ((SeparationError, KeyError, ValueError, ArithmeticError), "data", 5),
 )
 
 

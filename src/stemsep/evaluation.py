@@ -41,9 +41,8 @@ import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.linalg import cho_factor, cho_solve, solve, toeplitz
 
-DEFAULT_FILTER_LEN = 512
-DEFAULT_WINDOW_S = 30.0
-DEFAULT_HOP_S = 15.0
+from .dsp import DEFAULT_FILTER_LEN, DEFAULT_HOP_S, DEFAULT_WINDOW_S
+
 SDR_CLAMP_DB = 300.0
 # error power below this fraction of the target power is float64 solver
 # noise, not signal: report the clamp instead of a meaningless huge ratio

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from stemsep import cli
 from stemsep.arch import canonical_text, toy_arch
 from stemsep.dsp import AudioClip, read_wav, write_wav
 from stemsep.model import load_checkpoint_model
+from wavfiles import chunk, fmt_body, riff, sample_bytes
 
 
 def read_report(path):
@@ -516,6 +518,25 @@ def test_separate_reads_8bit_mixture(tmp_path, data_dir):
     assert read_wav(out / "vocals.wav").samples.shape == clip.samples.shape
 
 
+@pytest.mark.parametrize("case", ["empty", "3-channel", "alaw", "pcm64"])
+def test_unsupported_wav_exits_3_before_any_model_runs(tmp_path, forward_calls, capsys, case):
+    """Exit 3 is a missing, unreadable or unsupported audio file: a WAV
+    without samples, with three channels, of A-law samples (format tag 6)
+    or of 64-bit PCM exits 3 with an error naming it, before any model
+    runs."""
+    name, channels, frames = {"empty": ("float32", 2, 0), "3-channel": ("pcm16", 3, 100),
+                              "alaw": ("alaw", 2, 100), "pcm64": ("pcm64", 2, 100)}[case]
+    wav = tmp_path / ("%s.wav" % case)
+    fmt = fmt_body(name, channels, rate=toy_arch().sample_rate)
+    wav.write_bytes(riff([chunk(b"fmt ", fmt),
+                          chunk(b"data", sample_bytes(name, channels, frames))]))
+    ckpt = _save_toy(tmp_path / "vocals.ckpt", 1)
+    rc = cli.main(["separate", str(wav), "--checkpoints", ckpt, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error (input): %s: " % wav)
+    assert forward_calls == []
+
+
 def test_separate_mono_mixture(tmp_path, data_dir):
     """A mono mixture goes to the stereo models on both channels: exit 0,
     mono stems of the input's length, and vocals plus accompaniment give
@@ -664,8 +685,10 @@ def test_separate_and_inspect_share_the_mixture_front_end(
 
 
 # ---------------------------------------------------------------------------
-# start-up: scipy.signal is most of the import time, and only resampling
-# a mixture at another rate needs it
+# start-up: `import stemsep.cli`, separate at the arch's rate and train load
+# no scipy module; evaluate loads BSSEval's scipy before its first WAV read,
+# so set-up holds the import and scoring does not. scipy.signal is loaded
+# only to resample a mixture at another rate, and by synth-data.
 
 
 @pytest.mark.parametrize("command", ["import", "separate", "train", "evaluate"])
@@ -682,12 +705,32 @@ def test_commands_do_not_import_scipy_signal(tmp_path, data_dir, toy_arch_file,
                      "--out", str(tmp_path / "scores.json"), "--filter-len", "8",
                      "--window", "1.0", "--hop", "0.5"],
     }[command]
-    code = ("import sys; from stemsep import cli; "
-            "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
-            "print(rc, 'scipy.signal' in sys.modules)")
+    code = textwrap.dedent("""
+        import json, sys
+        from stemsep import cli
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        at_first_read, read_wav = [], cli.read_wav
+
+        def first_read(*args):
+            at_first_read.append(scipy_modules())
+            return read_wav(*args)
+
+        cli.read_wav = first_read
+        rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+        print(json.dumps([rc, scipy_modules(), at_first_read[:1]]))
+    """)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    rc, loaded, at_first_read = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    assert "scipy.signal" not in loaded
+    if command == "evaluate":
+        assert {"scipy.fft", "scipy.linalg"} <= set(at_first_read[0])
+    else:
+        assert loaded == []
