@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Implements exactly the operation set the separation model needs:
-same-padded 2-D convolution, batch normalization, a dense layer's
-BN + ReLU + conv as one op (it fills the conv's row tile, zero rows
-above and below and no zero columns, with the BN+ReLU map, and its
-backward recomputes that map from its input), ReLU/sigmoid/tanh, 2x2
+same-padded 2-D convolution, batch normalization (one per-channel
+affine map in train and eval mode), a dense layer's BN + ReLU + conv
+as one op (it fills the conv's row tile, zero rows above and below and
+no zero columns, with the BN+ReLU map, and its backward recomputes
+that map from its input), ReLU/sigmoid/tanh, 2x2
 average pooling, stride-2 transposed convolution, affine maps,
 concatenation, slicing and the usual elementwise/reduction glue. Each
 operation records a backward closure; `Tensor.backward()` runs a
@@ -62,7 +63,7 @@ class NumericError(ArithmeticError):
 
 
 class GraphError(RuntimeError):
-    """The computation graph is malformed (e.g. contains a cycle)."""
+    """backward() was asked to sweep a graph it already swept (and freed)."""
 
 
 _recording = True
@@ -144,26 +145,19 @@ def _swept(g):
 
 
 def _toposort(root):
-    """Iterative DFS topological order with cycle detection."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    state = {}
+    """Iterative DFS: every node after its parents, root last. No op
+    can make a cycle: _make gives parents only to the tensor it makes."""
+    seen = {id(root)}
     order = []
     stack = [(root, iter(root._parents))]
-    state[id(root)] = GREY
     while stack:
         node, it = stack[-1]
-        advanced = False
         for parent in it:
-            s = state.get(id(parent), WHITE)
-            if s == GREY:
-                raise GraphError("cycle detected in computation graph")
-            if s == WHITE:
-                state[id(parent)] = GREY
+            if id(parent) not in seen:
+                seen.add(id(parent))
                 stack.append((parent, iter(parent._parents)))
-                advanced = True
                 break
-        if not advanced:
-            state[id(node)] = BLACK
+        else:
             order.append(node)
             stack.pop()
     return order
@@ -550,56 +544,26 @@ def conv_transpose2(x, weight, bias):
 BN_EPS = 1e-5  # added to the variance before its square root, in every BN op
 
 
-def _train_stats(x, gamma, beta):
-    """Per-channel (mean, var, inv_std) of train-mode batch norm."""
+def _bn_affine(x, gamma, beta, running):
+    """Check batch norm's operands; return the per-channel (mean, var,
+    inv_std, scale, shift) of its map x * scale + shift, with scale =
+    gamma * inv_std and shift = beta - mean * scale. (mean, var) are x's
+    batch statistics when running is None (train mode), else running
+    (eval mode)."""
     if x.ndim != 3:
         raise ShapeError("batch_norm: expected (c, f, t), got %r" % (x.shape,))
     c, f, t = x.shape
-    if f * t == 0:
-        raise ShapeError("batch_norm: zero-size channel plane %r" % (x.shape,))
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError("batch_norm: gamma/beta must be (%d,)" % c)
-    mean = x.data.mean(axis=(1, 2))
-    var = x.data.var(axis=(1, 2))
-    return mean, var, 1.0 / np.sqrt(var + BN_EPS)
-
-
-def _standardize(xd, mean, inv_std, out=None):
-    """xhat = (xd - mean) * inv_std per channel, in out or a new array."""
-    xhat = np.subtract(xd, mean[:, None, None], out=out)
-    xhat *= inv_std[:, None, None]
-    return xhat
-
-
-def _train_backward(g, x, gamma, beta, inv_std, xhat):
-    g_xhat = (g * xhat).sum(axis=(1, 2))
-    if gamma.requires_grad:
-        gamma._accumulate(g_xhat)
-    if beta.requires_grad:
-        beta._accumulate(g.sum(axis=(1, 2)))
-    if x.requires_grad:
-        gmean = g.mean(axis=(1, 2))
-        gx_hat_mean = g_xhat / (x.shape[1] * x.shape[2])
-        gx = (gamma.data * inv_std)[:, None, None] * (
-            g - gmean[:, None, None] - xhat * gx_hat_mean[:, None, None]
-        )
-        x._accumulate(gx)
-
-
-def batch_norm_train(x, gamma, beta):
-    """Standardize each channel over its spatial plane, then affine.
-
-    Returns (out, batch_mean, batch_var); the caller owns running-stat
-    bookkeeping. Differentiable w.r.t. x, gamma and beta.
-    """
-    mean, var, inv_std = _train_stats(x, gamma, beta)
-    xhat = _standardize(x.data, mean, inv_std)
-    out_data = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
-
-    def backward(g):
-        _train_backward(g, x, gamma, beta, inv_std, xhat)
-
-    return _make(out_data, (x, gamma, beta), backward), mean, var
+    if running is None:
+        if f * t == 0:
+            raise ShapeError("batch_norm: zero-size channel plane %r" % (x.shape,))
+        mean, var = x.data.mean(axis=(1, 2)), x.data.var(axis=(1, 2))
+    else:
+        mean, var = running
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    scale_c = gamma.data * inv_std
+    return mean, var, inv_std, scale_c, beta.data - mean * scale_c
 
 
 def _affine_relu(src, scale_c, shift_c, out):
@@ -610,38 +574,52 @@ def _affine_relu(src, scale_c, shift_c, out):
     return out
 
 
-def _eval_affine(x, gamma, beta, running_mean, running_var):
-    """Per-channel (inv_std, scale, shift) of eval-mode batch norm."""
-    if x.ndim != 3:
-        raise ShapeError("batch_norm: expected (c, f, t), got %r" % (x.shape,))
-    c = x.shape[0]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError("batch_norm: gamma/beta must be (%d,)" % c)
-    inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
-    scale_c = gamma.data * inv_std
-    shift_c = beta.data - running_mean * scale_c
-    return inv_std, scale_c, shift_c
-
-
-def _eval_affine_backward(g, x, gamma, beta, running_mean, inv_std, scale_c):
-    if x.requires_grad:
-        x._accumulate(g * scale_c[:, None, None])
+def _bn_backward(g, x, gamma, beta, mean, inv_std, scale_c, train):
+    """Accumulate batch norm's gradients for the output gradient g. x's
+    gradient flows through the batch statistics in train mode only."""
+    xhat = np.subtract(x.data, mean[:, None, None])
+    xhat *= inv_std[:, None, None]
+    g_xhat = (g * xhat).sum(axis=(1, 2))
     if gamma.requires_grad:
-        gamma._accumulate((g * _standardize(x.data, running_mean, inv_std)).sum(axis=(1, 2)))
+        gamma._accumulate(g_xhat)
     if beta.requires_grad:
         beta._accumulate(g.sum(axis=(1, 2)))
+    if x.requires_grad:
+        if train:
+            gx = g - g.mean(axis=(1, 2))[:, None, None]
+            gx -= xhat * (g_xhat / (x.shape[1] * x.shape[2]))[:, None, None]
+            gx *= scale_c[:, None, None]
+        else:
+            gx = g * scale_c[:, None, None]
+        x._accumulate(gx)
 
 
-def batch_norm_eval(x, gamma, beta, running_mean, running_var):
-    """Affine standardization against fixed (running) statistics."""
-    inv_std, scale_c, shift_c = _eval_affine(x, gamma, beta, running_mean, running_var)
+def _batch_norm(x, gamma, beta, running):
+    """The BN op in either mode: (out, mean, var) of _bn_affine's map."""
+    mean, var, inv_std, scale_c, shift_c = _bn_affine(x, gamma, beta, running)
     out_data = x.data * scale_c[:, None, None]
     out_data += shift_c[:, None, None]
 
     def backward(g):
-        _eval_affine_backward(g, x, gamma, beta, running_mean, inv_std, scale_c)
+        _bn_backward(g, x, gamma, beta, mean, inv_std, scale_c, running is None)
 
-    return _make(out_data, (x, gamma, beta), backward)
+    return _make(out_data, (x, gamma, beta), backward), mean, var
+
+
+def batch_norm_train(x, gamma, beta):
+    """x * scale + shift per channel, scale and shift from x's batch
+    statistics over each channel's spatial plane.
+
+    Returns (out, batch_mean, batch_var); the caller owns running-stat
+    bookkeeping. Differentiable w.r.t. x, gamma and beta.
+    """
+    return _batch_norm(x, gamma, beta, None)
+
+
+def batch_norm_eval(x, gamma, beta, running_mean, running_var):
+    """x * scale + shift per channel, scale and shift from fixed
+    (running) statistics."""
+    return _batch_norm(x, gamma, beta, (running_mean, running_var))[0]
 
 
 def batch_norm_relu_conv2d(x, gamma, beta, weight, bias, running=None, out=None):
@@ -649,38 +627,28 @@ def batch_norm_relu_conv2d(x, gamma, beta, weight, bias, running=None, out=None)
     dense layer, as one op: bitwise equal to those ops, gradients too.
 
     running=None normalizes with x's batch statistics (train mode),
-    running=(running_mean, running_var) with those (eval mode). Returns
+    running=(running_mean, running_var) with those (eval mode); either
+    way BN is the per-channel map x * scale + shift (_bn_affine). Returns
     (out, mean, var), the statistics used; the running-stat fold is the
     caller's. The BN+ReLU map fills conv2d's row tile (_padded_rows),
     one contiguous span per channel and row block, and is never whole.
     The graph keeps x, which a dense block's channel buffer holds
     anyway, and per-channel statistics; the backward recomputes the map
-    from them (Pleiss et al. 2017, arXiv:1707.06990).
+    from them (Pleiss et al. 2017, arXiv:1707.06990) and frees it before
+    BN's backward standardizes x.
     """
-    if running is None:
-        mean, var, inv_std = _train_stats(x, gamma, beta)
-        fill = lambda dst, src: _affine_relu(_standardize(src, mean, inv_std, dst),
-                                             gamma.data, beta.data, dst)
-    else:
-        mean, var = running
-        inv_std, scale_c, shift_c = _eval_affine(x, gamma, beta, mean, var)
-        fill = lambda dst, src: _affine_relu(src, scale_c, shift_c, dst)
+    mean, var, inv_std, scale_c, shift_c = _bn_affine(x, gamma, beta, running)
     ph, out_data = _conv_setup(x, weight, bias, out)
+    fill = lambda dst, src: _affine_relu(src, scale_c, shift_c, dst)
     _conv_forward(_padded_rows(fill, x.data, ph), weight.data, bias.data, out_data)
     _check_finite(out_data, "conv2d")
 
     def backward(g):
-        if running is None:
-            xhat = _standardize(x.data, mean, inv_std)
-            h = _affine_relu(xhat, gamma.data, beta.data, np.empty_like(xhat))
-        else:
-            h = _affine_relu(x.data, scale_c, shift_c, np.empty_like(x.data))
+        h = _affine_relu(x.data, scale_c, shift_c, np.empty_like(x.data))
         gh = _conv_backward(g, h, weight, bias, True)
         gh *= h > 0
-        if running is None:
-            _train_backward(gh, x, gamma, beta, inv_std, xhat)
-        else:
-            _eval_affine_backward(gh, x, gamma, beta, mean, inv_std, scale_c)
+        del h
+        _bn_backward(gh, x, gamma, beta, mean, inv_std, scale_c, running is None)
 
     return _make(out_data, (x, gamma, beta, weight, bias), backward), mean, var
 

@@ -72,10 +72,9 @@ def stft(samples, fft_size=DEFAULT_FFT_SIZE):
         padded += hop - (padded - fft_size) % hop
     if padded > n:
         x = np.pad(x, ((0, 0), (0, padded - n)))
-    frames = (padded - fft_size) // hop + 1
     window = raised_cosine_window(fft_size)
-    idx = np.arange(frames)[:, None] * hop + np.arange(fft_size)[None, :]
-    segments = x[:, idx] * window  # (ch, frames, fft_size)
+    frames = np.lib.stride_tricks.sliding_window_view(x, fft_size, axis=1)[:, ::hop]
+    segments = frames * window  # (ch, frames, fft_size)
     # the rFFT along the last axis, then one copy: an rFFT along axis 1 is slower
     return np.ascontiguousarray(np.fft.rfft(segments, axis=2).transpose(0, 2, 1))
 

@@ -37,7 +37,7 @@ import json
 import numpy as np
 
 from . import autodiff as ad
-from .arch import ArchSpec, BandPlan, ScaleSlot
+from .arch import ArchSpec, BandPlan, ConfigError, ScaleSlot
 from .layers import BiLSTM, BatchNorm2d, Conv2d, ConvTranspose2x2, Linear, Module
 
 
@@ -447,10 +447,23 @@ class CheckpointError(RuntimeError):
     pass
 
 
+# the header's and each entry's fields that the loaders read, with their types
+_HEADER_FIELDS = {"arch_sha256": str, "arch_text": str, "entries": list}
+_ENTRY_FIELDS = {"name": str, "kind": str, "shape": list, "dtype": str, "offset": int, "nbytes": int}
+
+
+def _missing_fields(obj, fields):
+    """The keys of fields that obj lacks or holds a value of another type under."""
+    return [key for key, kind in fields.items()
+            if not isinstance(obj, dict) or not isinstance(obj.get(key), kind)]
+
+
 def read_checkpoint_header(path):
     """(header, payload offset) of a checkpoint. Raises CheckpointError
-    naming the path when the header is cut short, not JSON, or lacks the
-    architecture or the entries."""
+    naming the path when the header is cut short, not JSON, or lacks a
+    field the loaders read (or has one of another type), or when an entry
+    does, names a dtype save_checkpoint does not write, or has a negative
+    offset or size."""
     with open(path, "rb") as fh:
         if fh.read(8) != CHECKPOINT_MAGIC:
             raise CheckpointError("%s: not a stemsep checkpoint" % path)
@@ -459,10 +472,20 @@ def read_checkpoint_header(path):
             header = json.loads(fh.read(n).decode())
         except ValueError as exc:  # a cut or garbled header
             raise CheckpointError("%s: unreadable checkpoint header: %s" % (path, exc)) from exc
-        missing = [key for key in ("arch_sha256", "arch_text", "entries")
-                   if not isinstance(header, dict) or key not in header]
+        missing = _missing_fields(header, _HEADER_FIELDS)
         if missing:
             raise CheckpointError("%s: checkpoint header lacks %s" % (path, ", ".join(missing)))
+        for i, entry in enumerate(header["entries"]):
+            missing = _missing_fields(entry, _ENTRY_FIELDS)
+            if missing:
+                raise CheckpointError("%s: checkpoint entry %d lacks %s"
+                                      % (path, i, ", ".join(missing)))
+            if entry["dtype"] not in _DTYPE_TAGS:
+                raise CheckpointError("%s: checkpoint entry %r has dtype %r, not one of %s"
+                                      % (path, entry["name"], entry["dtype"], ", ".join(_DTYPE_TAGS)))
+            if entry["offset"] < 0 or entry["nbytes"] < 0:  # would slice from the payload's end
+                raise CheckpointError("%s: checkpoint entry %r has a negative offset or size"
+                                      % (path, entry["name"]))
         return header, fh.tell()
 
 
@@ -481,10 +504,10 @@ def load_checkpoint(path, model: SeparationModel):
     for entry in header["entries"]:
         kind, name = entry["kind"], entry["name"]
         if (kind, name) not in targets:
-            raise CheckpointError("unknown %s %r" % (kind, name))
+            raise CheckpointError("%s: unknown %s %r" % (path, kind, name))
         target = targets[kind, name]
         if tuple(target.shape) != tuple(entry["shape"]):
-            raise CheckpointError("shape mismatch for %r" % name)
+            raise CheckpointError("%s: shape mismatch for %r" % (path, name))
         raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
         try:
             arr = np.frombuffer(raw, dtype=_DTYPE_TAGS[entry["dtype"]]).reshape(entry["shape"])
@@ -509,7 +532,10 @@ def load_checkpoint_model(path) -> SeparationModel:
     from .arch import parse_arch_text
 
     header, _ = read_checkpoint_header(path)
-    spec = parse_arch_text(header["arch_text"])
+    try:
+        spec = parse_arch_text(header["arch_text"])
+    except ConfigError as exc:
+        raise CheckpointError("%s: checkpoint arch_text: %s" % (path, exc)) from exc
     model = build_model(spec)
     if header["entries"] and header["entries"][0]["dtype"] == "float32":
         model.astype(np.float32)

@@ -758,6 +758,52 @@ def test_batch_norm_relu_train_grad_check():
     assert report["passed"], report
 
 
+@pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-3)])
+def test_batch_norm_train_matches_textbook_formula(dtype, atol):
+    """Train-mode BN is x * scale + shift per channel; against the
+    textbook gamma * (x - mean) / sqrt(var + eps) + beta in fp64 it is
+    off by about |mean| / sigma * eps, here on a channel whose mean is
+    1e3 sigmas from 0."""
+    rng = np.random.default_rng(22)
+    x = rand(rng, 3, 6, 9)
+    x[1] = 1e3 + x[1] / x[1].std()
+    x = x.astype(dtype)
+    gamma, beta = 1.0 + 0.3 * rand(rng, 3), 0.5 * rand(rng, 3)
+    out, _, _ = ad.batch_norm_train(ad.constant(x), ad.constant(gamma.astype(dtype)),
+                                    ad.constant(beta.astype(dtype)))
+    x64 = x.astype(np.float64)
+    mean, var = x64.mean(axis=(1, 2))[:, None, None], x64.var(axis=(1, 2))[:, None, None]
+    want = gamma.astype(dtype)[:, None, None] * (x64 - mean) / np.sqrt(var + ad.BN_EPS) \
+        + beta.astype(dtype)[:, None, None]
+    assert out.data.dtype == dtype
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=atol)
+
+
+def test_batch_norm_relu_conv2d_train_backward_holds_one_map():
+    """A train-mode dense layer's backward (the op's closure, given the
+    output gradient) allocates at its peak no more than the tap-shifted
+    gradient, the recomputed BN+ReLU map and the input gradient, plus
+    1 MiB: BN's standardized input is made only after the map is freed."""
+    rng = np.random.default_rng(23)
+    (c_in, f, t), c_out, kh, kw = (40, 71, 256), 14, 3, 3
+    dtype = np.float32
+    x = ad.parameter(rand(rng, c_in, f, t).astype(dtype))
+    gamma, beta = ad.parameter(np.ones(c_in, dtype)), ad.parameter(np.zeros(c_in, dtype))
+    w = ad.parameter((0.1 * rand(rng, c_out, c_in, kh, kw)).astype(dtype))
+    b = ad.parameter(np.zeros(c_out, dtype))
+    y, _, _ = ad.batch_norm_relu_conv2d(x, gamma, beta, w, b)
+    g = rand(rng, c_out, f, t).astype(dtype)
+    bound = (kh * kw * c_out + 2 * c_in) * f * t * np.dtype(dtype).itemsize + (1 << 20)
+    tracemalloc.start()
+    try:
+        y._backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
 # ---------------------------------------------------------------------------
 # relu / elementwise
 

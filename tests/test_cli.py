@@ -356,8 +356,23 @@ def test_separate_unreadable_wav_exit_code(capsys, tmp_path, trained_ckpt, data_
     assert "error (input): %s: unreadable WAV" % wav in capsys.readouterr().err
 
 
+# header edits by case: a key dropped, or a value save_checkpoint never writes
+_HEADER_EDITS = {
+    "arch_text": lambda header: header.pop("arch_text"),
+    "entries": lambda header: header.pop("entries"),
+    "entries-not-a-list": lambda header: header.update(entries=5),
+    "entry-dtype-float16": lambda header: header["entries"][0].update(dtype="float16"),
+    "entry-without-offset": lambda header: header["entries"][0].pop("offset"),
+    "entry-wrong-shape": lambda header: header["entries"][0].update(shape=[1, 3]),
+    # sliced from the payload's end, this offset reads bytes of other entries
+    "entry-negative-offset": lambda header: header["entries"][-1].update(
+        offset=-2 * header["entries"][-1]["nbytes"]),
+    "arch_text-unparsed": lambda header: header.update(arch_text="mode = Q\n"),
+}
+
+
 def _malform_checkpoint(src, dst, case):
-    """Copy of the checkpoint src at dst, cut or with a header key dropped."""
+    """Copy of the checkpoint src at dst, cut or with its header edited."""
     with open(src, "rb") as fh:
         data = fh.read()
     n = int.from_bytes(data[8:16], "little")
@@ -367,13 +382,16 @@ def _malform_checkpoint(src, dst, case):
         data = data[:-8]
     else:
         header = json.loads(data[16:16 + n])
-        del header[case]
+        _HEADER_EDITS[case](header)
         text = json.dumps(header).encode()
         data = data[:8] + len(text).to_bytes(8, "little") + text + data[16 + n:]
     dst.write_bytes(data)
 
 
-@pytest.mark.parametrize("case", ["cut", "arch_text", "entries", "short-payload"])
+@pytest.mark.parametrize("case", ["cut", "arch_text", "entries", "short-payload",
+                                  "entries-not-a-list", "entry-dtype-float16",
+                                  "entry-without-offset", "entry-wrong-shape",
+                                  "entry-negative-offset", "arch_text-unparsed"])
 @pytest.mark.parametrize("command", ["separate", "inspect"])
 def test_malformed_checkpoint_exit_code(capsys, tmp_path, trained_ckpt, data_dir,
                                         case, command):

@@ -72,7 +72,8 @@ def test_stft_linearity():
     np.testing.assert_allclose(sab, sa + sb, atol=1e-8)
 
 
-@pytest.mark.parametrize("channels,fft_size,n", [(2, 256, 3000), (1, 64, 64), (2, 64, 10)])
+@pytest.mark.parametrize("channels,fft_size,n", [(2, 256, 3000), (1, 64, 64), (2, 64, 10),
+                                                  (2, 6, 20), (1, 10, 37)])
 def test_stft_is_contiguous_channels_bins_frames(channels, fft_size, n):
     # oracle: one np.fft.rfft per windowed frame of the zero-padded signal
     rng = np.random.default_rng(4)
