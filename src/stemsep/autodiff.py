@@ -3,9 +3,10 @@
 Implements exactly the operation set the separation model needs:
 same-padded 2-D convolution, batch normalization (one per-channel
 affine map in train and eval mode), a dense layer's BN + ReLU + conv
-as one op (it fills the conv's row tile, zero rows above and below and
-no zero columns, with the BN+ReLU map, and its backward recomputes
-that map from its input), ReLU/sigmoid/tanh, 2x2
+as one op (its input is a list of channel parts, never concatenated;
+it fills the conv's row tile, zero rows above and below and no zero
+columns, with the BN+ReLU map, and its backward recomputes that map
+from the parts), ReLU/sigmoid/tanh, 2x2
 average pooling, stride-2 transposed convolution, affine maps,
 concatenation, slicing and the usual elementwise/reduction glue. Each
 operation records a backward closure; `Tensor.backward()` runs a
@@ -318,47 +319,61 @@ def affine(x, weight, bias):
 CONV_TILE_BYTES = 4 << 20  # size of the tap array of one row block in conv2d's forward
 
 
-def _conv_setup(x, weight, bias, out):
-    """Check conv2d's operands; return (ph, out_data)."""
-    if x.ndim != 3 or weight.ndim != 4:
-        raise ShapeError("conv2d: x %r, weight %r" % (x.shape, weight.shape))
+def _channel_parts(x):
+    """x, a (c, f, t) tensor or a list of (c_i, f, t) tensors that stack
+    along channels, as (parts, offsets): parts[i] holds channels
+    [offsets[i], offsets[i + 1]) of the map."""
+    parts = [x] if isinstance(x, Tensor) else list(x)
+    if not parts or any(p.ndim != 3 for p in parts):
+        raise ShapeError("expected (c, f, t) channel parts, got %r" % ([p.shape for p in parts],))
+    if any(p.shape[1:] != parts[0].shape[1:] or p.data.dtype != parts[0].data.dtype
+           for p in parts):
+        raise ShapeError("channel parts differ in (f, t) or dtype: %r"
+                         % ([(p.shape, p.data.dtype) for p in parts],))
+    return parts, np.cumsum([0] + [p.shape[0] for p in parts]).tolist()
+
+
+def _conv_setup(shape, dtype, weight, bias, out):
+    """Check conv2d's operands, the input map being of shape (c_in, f, t)
+    and dtype; return (ph, out_data)."""
+    if len(shape) != 3 or weight.ndim != 4:
+        raise ShapeError("conv2d: x %r, weight %r" % (shape, weight.shape))
     c_out, c_in, kh, kw = weight.shape
-    if x.shape[0] != c_in:
-        raise ShapeError("conv2d: input channels %d, kernel expects %d" % (x.shape[0], c_in))
+    if shape[0] != c_in:
+        raise ShapeError("conv2d: input channels %d, kernel expects %d" % (shape[0], c_in))
     if bias.shape != (c_out,):
         raise ShapeError("conv2d: bias %r for %d output channels" % (bias.shape, c_out))
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError("conv2d: same-padding requires odd kernel dims, got %dx%d" % (kh, kw))
-    shape = (c_out,) + x.shape[1:]
+    shape = (c_out,) + shape[1:]
     if out is None:
-        return kh // 2, np.empty(shape, dtype=x.data.dtype)
-    if out.shape != shape or out.dtype != x.data.dtype:
-        raise ShapeError("conv2d: out %r %s, expected %r %s"
-                         % (out.shape, out.dtype, shape, x.data.dtype))
+        return kh // 2, np.empty(shape, dtype=dtype)
+    if out.shape != shape or out.dtype != dtype:
+        raise ShapeError("conv2d: out %r %s, expected %r %s" % (out.shape, out.dtype, shape, dtype))
     if out.size and not out[0].flags.c_contiguous:  # _conv_forward writes flattened planes
         raise ShapeError("conv2d: out needs a contiguous (f, t) plane per channel")
     return kh // 2, out
 
 
-def _padded_rows(fill, x, ph):
-    """read_rows for _conv_forward over the (c, f, t) array x bordered by
-    ph zero rows above and below. Each call builds rows [lo, hi) of the
+def _padded_rows(fill, shape, dtype, ph):
+    """read_rows for _conv_forward over a (c, f, t) map bordered by ph
+    zero rows above and below. Each call builds rows [lo, hi) of the
     bordered input in one reused (c, rows, t) tile, sized by the first
-    (tallest) call: fill(dst, src) writes rows src of x, or a map of
-    them, into dst, one contiguous span per channel. The whole bordered
-    input never exists (Pleiss et al. 2017, arXiv:1707.06990)."""
-    c, f, t = x.shape
+    (tallest) call: fill(dst, a, b) writes rows [a, b) of the map into
+    dst, one contiguous span per channel. The whole bordered input never
+    exists (Pleiss et al. 2017, arXiv:1707.06990)."""
+    c, f, t = shape
     tile = None
 
     def read_rows(lo, hi):
         nonlocal tile
         if tile is None:
-            tile = np.zeros((c, hi - lo, t), dtype=x.dtype)
+            tile = np.zeros((c, hi - lo, t), dtype=dtype)
         rows = tile[:, :hi - lo]
-        a, b = max(lo, ph), min(hi, ph + f)  # the bordered rows that hold rows of x
+        a, b = max(lo, ph), min(hi, ph + f)  # the bordered rows that hold rows of the map
         rows[:, :a - lo] = 0
         rows[:, b - lo:] = 0
-        fill(rows[:, a - lo:b - lo], x[:, a - ph:b - ph])
+        fill(rows[:, a - lo:b - lo], a - ph, b - ph)
         return rows
 
     return read_rows
@@ -425,22 +440,25 @@ def _conv_backward(g, xd, weight, bias, need_gx):
     (kh*kw*c_out, f*t) array whose row block (di, dj) holds g where that
     tap's input sits: g's flattened rows shifted by (di - kh // 2) * t +
     dj - kw // 2, clipped at the ends, with the wrapping columns zeroed
-    (_zero_wraps). The weight gradient shifted @ xd.T and the bias
-    gradient are accumulated; the input gradient w9.T @ shifted, w9 the
-    (kh*kw*c_out, c_in) tap-major kernel, is returned when need_gx (else
-    None)."""
+    (_zero_wraps); a 1x1 kernel's one tap reads g itself. The weight
+    gradient shifted @ xd.T and the bias gradient are accumulated; the
+    input gradient w9.T @ shifted, w9 the (kh*kw*c_out, c_in) tap-major
+    kernel, is returned when need_gx (else None)."""
     c_out, c_in, kh, kw = weight.shape
     _, f, t = xd.shape
     gx = None
     if need_gx or weight.requires_grad:
-        shifted = np.zeros((kh, kw, c_out, f * t), dtype=g.dtype)
-        g2 = g.reshape(c_out, f * t)
-        for di in range(kh):
-            for dj in range(kw):
-                dst, src = _tap_span((di - kh // 2) * t + dj - kw // 2, f * t, f * t)
-                shifted[di, dj, :, dst] = g2[:, src]
-        _zero_wraps(shifted.reshape(kh, kw, c_out, f, t))
-        shifted = shifted.reshape(kh * kw * c_out, f * t)
+        if kh == kw == 1:
+            shifted = np.ascontiguousarray(g).reshape(c_out, f * t)
+        else:
+            shifted = np.zeros((kh, kw, c_out, f * t), dtype=g.dtype)
+            g2 = g.reshape(c_out, f * t)
+            for di in range(kh):
+                for dj in range(kw):
+                    dst, src = _tap_span((di - kh // 2) * t + dj - kw // 2, f * t, f * t)
+                    shifted[di, dj, :, dst] = g2[:, src]
+            _zero_wraps(shifted.reshape(kh, kw, c_out, f, t))
+            shifted = shifted.reshape(kh * kw * c_out, f * t)
         if need_gx:
             w9 = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
             gx = (w9.T @ shifted).reshape(c_in, f, t)
@@ -465,10 +483,17 @@ def conv2d(x, weight, bias, out=None):
     per block against its input rows, copied into a reused tile that
     holds zero rows above and below and no zero columns (_padded_rows),
     then a sum of the taps shifted along flattened rows. No padded copy
-    of x is made. The backward is _conv_backward.
+    of x is made; a kernel one row high needs no zero rows, so it reads
+    the rows of x in place. The backward is _conv_backward.
     """
-    ph, out_data = _conv_setup(x, weight, bias, out)
-    _conv_forward(_padded_rows(np.copyto, x.data, ph), weight.data, bias.data, out_data)
+    xd = x.data
+    ph, out_data = _conv_setup(xd.shape, xd.dtype, weight, bias, out)
+    if ph:
+        copy_rows = lambda dst, a, b: np.copyto(dst, xd[:, a:b])
+        read_rows = _padded_rows(copy_rows, xd.shape, xd.dtype, ph)
+    else:
+        read_rows = lambda lo, hi: xd[:, lo:hi]
+    _conv_forward(read_rows, weight.data, bias.data, out_data)
     _check_finite(out_data, "conv2d")
 
     def backward(g):
@@ -544,21 +569,22 @@ def conv_transpose2(x, weight, bias):
 BN_EPS = 1e-5  # added to the variance before its square root, in every BN op
 
 
-def _bn_affine(x, gamma, beta, running):
-    """Check batch norm's operands; return the per-channel (mean, var,
-    inv_std, scale, shift) of its map x * scale + shift, with scale =
-    gamma * inv_std and shift = beta - mean * scale. (mean, var) are x's
-    batch statistics when running is None (train mode), else running
-    (eval mode)."""
-    if x.ndim != 3:
-        raise ShapeError("batch_norm: expected (c, f, t), got %r" % (x.shape,))
-    c, f, t = x.shape
+def _bn_affine(parts, gamma, beta, running):
+    """Check batch norm's operands, the input given as channel parts;
+    return the per-channel (mean, var, inv_std, scale, shift) of its map
+    x * scale + shift, with scale = gamma * inv_std and shift = beta -
+    mean * scale. (mean, var) are the batch statistics of each part's
+    channels when running is None (train mode), else running (eval
+    mode)."""
+    _, f, t = parts[0].shape
+    c = sum(p.shape[0] for p in parts)
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError("batch_norm: gamma/beta must be (%d,)" % c)
     if running is None:
         if f * t == 0:
-            raise ShapeError("batch_norm: zero-size channel plane %r" % (x.shape,))
-        mean, var = x.data.mean(axis=(1, 2)), x.data.var(axis=(1, 2))
+            raise ShapeError("batch_norm: zero-size channel plane %r" % ((c, f, t),))
+        mean = np.concatenate([p.data.mean(axis=(1, 2)) for p in parts])
+        var = np.concatenate([p.data.var(axis=(1, 2)) for p in parts])
     else:
         mean, var = running
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
@@ -574,34 +600,40 @@ def _affine_relu(src, scale_c, shift_c, out):
     return out
 
 
-def _bn_backward(g, x, gamma, beta, mean, inv_std, scale_c, train):
-    """Accumulate batch norm's gradients for the output gradient g. x's
-    gradient flows through the batch statistics in train mode only."""
-    xhat = np.subtract(x.data, mean[:, None, None])
-    xhat *= inv_std[:, None, None]
-    g_xhat = (g * xhat).sum(axis=(1, 2))
+def _bn_backward(g, parts, offsets, gamma, beta, mean, inv_std, scale_c, train):
+    """Accumulate batch norm's gradients for the output gradient g, one
+    channel part at a time: part i takes channels [offsets[i],
+    offsets[i + 1]) of g. x's gradient flows through the batch statistics
+    in train mode only."""
+    g_xhat = []
+    for x, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        gp = g[lo:hi]
+        xhat = np.subtract(x.data, mean[lo:hi, None, None])
+        xhat *= inv_std[lo:hi, None, None]
+        g_xhat.append((gp * xhat).sum(axis=(1, 2)))
+        if x.requires_grad:
+            if train:
+                gx = gp - gp.mean(axis=(1, 2))[:, None, None]
+                gx -= xhat * (g_xhat[-1] / (x.shape[1] * x.shape[2]))[:, None, None]
+                gx *= scale_c[lo:hi, None, None]
+            else:
+                gx = gp * scale_c[lo:hi, None, None]
+            x._accumulate(gx)
     if gamma.requires_grad:
-        gamma._accumulate(g_xhat)
+        gamma._accumulate(np.concatenate(g_xhat))
     if beta.requires_grad:
         beta._accumulate(g.sum(axis=(1, 2)))
-    if x.requires_grad:
-        if train:
-            gx = g - g.mean(axis=(1, 2))[:, None, None]
-            gx -= xhat * (g_xhat / (x.shape[1] * x.shape[2]))[:, None, None]
-            gx *= scale_c[:, None, None]
-        else:
-            gx = g * scale_c[:, None, None]
-        x._accumulate(gx)
 
 
 def _batch_norm(x, gamma, beta, running):
     """The BN op in either mode: (out, mean, var) of _bn_affine's map."""
-    mean, var, inv_std, scale_c, shift_c = _bn_affine(x, gamma, beta, running)
+    parts, offsets = _channel_parts(x)
+    mean, var, inv_std, scale_c, shift_c = _bn_affine(parts, gamma, beta, running)
     out_data = x.data * scale_c[:, None, None]
     out_data += shift_c[:, None, None]
 
     def backward(g):
-        _bn_backward(g, x, gamma, beta, mean, inv_std, scale_c, running is None)
+        _bn_backward(g, parts, offsets, gamma, beta, mean, inv_std, scale_c, running is None)
 
     return _make(out_data, (x, gamma, beta), backward), mean, var
 
@@ -626,31 +658,44 @@ def batch_norm_relu_conv2d(x, gamma, beta, weight, bias, running=None, out=None)
     """conv2d(relu(batch_norm(x, gamma, beta)), weight, bias, out), a
     dense layer, as one op: bitwise equal to those ops, gradients too.
 
-    running=None normalizes with x's batch statistics (train mode),
-    running=(running_mean, running_var) with those (eval mode); either
-    way BN is the per-channel map x * scale + shift (_bn_affine). Returns
-    (out, mean, var), the statistics used; the running-stat fold is the
-    caller's. The BN+ReLU map fills conv2d's row tile (_padded_rows),
-    one contiguous span per channel and row block, and is never whole.
-    The graph keeps x, which a dense block's channel buffer holds
-    anyway, and per-channel statistics; the backward recomputes the map
-    from them (Pleiss et al. 2017, arXiv:1707.06990) and frees it before
-    BN's backward standardizes x.
+    x is a (c_in, f, t) tensor or a list of tensors, its channel parts:
+    the op reads them where they are and never concatenates them.
+    running=None normalizes with the batch statistics of each channel
+    (train mode), running=(running_mean, running_var) with those (eval
+    mode); either way BN is the per-channel map x * scale + shift
+    (_bn_affine). Returns (out, mean, var), the statistics used; the
+    running-stat fold is the caller's. The BN+ReLU map fills conv2d's
+    row tile (_padded_rows), one contiguous span per channel and row
+    block, each part into its channels, and is never whole. The graph
+    keeps the parts, which their producers hold anyway, and per-channel
+    statistics; the backward recomputes the map from them (Pleiss et al.
+    2017, arXiv:1707.06990), frees it before BN's backward standardizes
+    the parts, and hands each part its slice of the input gradient.
     """
-    mean, var, inv_std, scale_c, shift_c = _bn_affine(x, gamma, beta, running)
-    ph, out_data = _conv_setup(x, weight, bias, out)
-    fill = lambda dst, src: _affine_relu(src, scale_c, shift_c, dst)
-    _conv_forward(_padded_rows(fill, x.data, ph), weight.data, bias.data, out_data)
+    parts, offsets = _channel_parts(x)
+    _, f, t = parts[0].shape
+    shape, dtype = (offsets[-1], f, t), parts[0].data.dtype
+    mean, var, inv_std, scale_c, shift_c = _bn_affine(parts, gamma, beta, running)
+    ph, out_data = _conv_setup(shape, dtype, weight, bias, out)
+    spans = list(zip(parts, offsets[:-1], offsets[1:]))
+
+    def affine_relu_rows(dst, a, b):
+        for p, lo, hi in spans:
+            _affine_relu(p.data[:, a:b], scale_c[lo:hi], shift_c[lo:hi], dst[lo:hi])
+
+    _conv_forward(_padded_rows(affine_relu_rows, shape, dtype, ph), weight.data, bias.data,
+                  out_data)
     _check_finite(out_data, "conv2d")
 
     def backward(g):
-        h = _affine_relu(x.data, scale_c, shift_c, np.empty_like(x.data))
+        h = np.empty(shape, dtype=dtype)
+        affine_relu_rows(h, 0, f)
         gh = _conv_backward(g, h, weight, bias, True)
         gh *= h > 0
         del h
-        _bn_backward(gh, x, gamma, beta, mean, inv_std, scale_c, running is None)
+        _bn_backward(gh, parts, offsets, gamma, beta, mean, inv_std, scale_c, running is None)
 
-    return _make(out_data, (x, gamma, beta, weight, bias), backward), mean, var
+    return _make(out_data, tuple(parts) + (gamma, beta, weight, bias), backward), mean, var
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,15 @@ Conventions:
     (feature_map_norms records a slot's output this way)
   * a dense block's output is the concatenation of its layer outputs
     (l * growth channels); the block input is not re-emitted
-  * a dense block keeps its features in one (c_in + l * growth, f, t)
-    channel buffer: the block input is copied in once, each layer's
-    conv writes its output straight into its own slot, and layer j reads
-    the contiguous prefix view buf[:c_in + j * growth] as its input, so
-    no layer input is re-concatenated (Pleiss et al. 2017,
-    arXiv:1707.06990). The block returns the view buf[c_in:]. Training
-    and inference share this path; with grad on, each prefix is a
-    concat_view whose backward is concat's
+  * a dense block takes its input as a list of channel parts (the
+    up-conv output and the skip on the up path, the band outputs and
+    the full band's for the final block, the slot input and the LSTM
+    map in an Sb slot) and never concatenates or copies them; its one
+    (l * growth, f, t) channel buffer holds only the layer outputs. Each
+    layer's conv writes its output straight into its own slot, and layer
+    j reads the block's parts plus the j earlier outputs as its parts
+    (Pleiss et al. 2017, arXiv:1707.06990). The block returns the whole
+    buffer. Training and inference share this path
   * a dense layer's BN, ReLU and conv are one op in every mode: it
     writes the BN+ReLU map one block of frequency rows at a time into
     the conv's reused row tile (zero rows above and below, no zero
@@ -26,8 +27,9 @@ Conventions:
     decides where it is concatenated (Sa: after the dense block, Sb:
     onto the slot input before the dense block, P: next to the dense
     output)
-  * the up path concatenates the upsampled features with the same-scale
-    down-path slot output (skip connection)
+  * the up path hands its slot the upsampled features and the
+    same-scale down-path slot output (skip connection) as two channel
+    parts
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ class DenseLayer(Module):
     one op (autodiff.batch_norm_relu_conv2d) in every mode. It builds the
     BN+ReLU map one row block at a time and never whole, and its graph
     keeps no full-size map. In training it normalizes with the batch
-    statistics and folds them into BN's running ones. out, when given,
-    is the array the conv writes its output into.
+    statistics and folds them into BN's running ones. x is the input
+    map or a list of its channel parts; out, when given, is the array
+    the conv writes its output into.
     """
 
     def __init__(self, c_in, growth, rng):
@@ -72,11 +75,11 @@ class DenseBlock(Module):
     """Densely connected stack: layer j consumes the block input plus
     every earlier layer output; the block emits the layer outputs.
 
-    All of them live in one (c_in + layers * growth, f, t) channel
-    buffer. Layer j writes its output into channels
-    [c_in + j * growth, c_in + (j + 1) * growth) and reads the prefix
-    view of every channel before that slot (layer 0 reads the block
-    input itself); the block returns the view past the input channels.
+    The block input is a map or a list of its channel parts, which every
+    layer reads where they are. The layer outputs live in one
+    (layers * growth, f, t) channel buffer: layer j writes channels
+    [j * growth, (j + 1) * growth) and reads the block's parts plus each
+    earlier output as its channel parts; the block returns the buffer.
     """
 
     def __init__(self, c_in, layers, growth, rng):
@@ -92,17 +95,16 @@ class DenseBlock(Module):
         return self.layers * self.growth if self.layers else self.c_in
 
     def forward(self, x):
+        parts = [x] if isinstance(x, ad.Tensor) else list(x)
         if not self.layers:
-            return x
-        c_in, k = self.c_in, self.growth
-        buf = np.empty((c_in + self.layers * k,) + x.shape[1:], dtype=x.data.dtype)
-        buf[:c_in] = x.data
-        parts = [x]
+            return ad.concat(parts, axis=0)
+        k = self.growth
+        buf = np.empty((self.layers * k,) + parts[0].shape[1:], dtype=parts[0].data.dtype)
+        outputs = []
         for j in range(self.layers):
-            lo = c_in + j * k
-            state = ad.concat_view(buf[:lo], parts, axis=0)
-            parts.append(self._children["layer%d" % j](state, out=buf[lo:lo + k]))
-        return ad.concat_view(buf[c_in:], parts[1:], axis=0)
+            layer = self._children["layer%d" % j]
+            outputs.append(layer(parts + outputs, out=buf[j * k:(j + 1) * k]))
+        return ad.concat_view(buf, outputs, axis=0)
 
 
 class LstmBlock(Module):
@@ -160,22 +162,19 @@ class Slot(Module):
         self.lstm_channel = self.out_channels - 1 if map_out else None
 
     def forward(self, x):
+        """x is the slot input or a list of its channel parts; only the
+        dense block reads the parts where they are."""
+        parts = [x] if isinstance(x, ad.Tensor) else list(x)
         if self.mode == "Sa":
-            y = self.dense(x) if self.dense else x
+            y = self.dense(parts) if self.dense else ad.concat(parts, axis=0)
             if self.lstm:
                 y = ad.concat([y, self.lstm(y)], axis=0)
             return y
+        maps = [self.lstm(ad.concat(parts, axis=0))] if self.lstm else []
         if self.mode == "Sb":
-            y = x
-            if self.lstm:
-                y = ad.concat([y, self.lstm(x)], axis=0)
-            return self.dense(y) if self.dense else y
-        parts = []
-        if self.dense:
-            parts.append(self.dense(x))
-        if self.lstm:
-            parts.append(self.lstm(x))
-        return ad.concat(parts, axis=0)
+            parts += maps
+            return self.dense(parts) if self.dense else ad.concat(parts, axis=0)
+        return ad.concat(([self.dense(parts)] if self.dense else []) + maps, axis=0)
 
 
 class BandNet(Module):
@@ -225,12 +224,11 @@ class BandNet(Module):
             if i < len(down) - 1:
                 skips.append(y)
                 y = ad.avg_pool2(y)
-        # up slots run u(N-1)..u1, so each pops its own scale's skip; concat
-        # copies it, so without a graph its buffer is freed before the slot runs
+        # up slots run u(N-1)..u1, so each pops its own scale's skip and
+        # reads it, next to the upsampled map, as a channel part
         for slot_spec in self.plan.up_slots:
             y = self._children["up%d" % slot_spec.scale](y)
-            y = ad.concat([y, skips.pop()], axis=0)
-            y = self._children[slot_spec.position](y)
+            y = self._children[slot_spec.position]([y, skips.pop()])
         return y
 
 
@@ -309,6 +307,14 @@ class SeparationModel(Module):
         t_pad = ((t + m - 1) // m) * m
         x = _pad_axis(mag, 2, t_pad)
 
+        # the full band, the largest net, runs first, so that no band
+        # output is held through it and its peak meets a small heap
+        xf = _pad_axis(x, 1, self.full_net.freq_bins)
+        yf = self.full_net(ad.constant(xf))
+        if yf.shape[1] != spec.num_bins:
+            yf = yf[:, : spec.num_bins, :]
+        del xf
+
         layout = spec.band_layout()
         band_outputs = []
         for plan, net, (lo, hi) in zip(spec.bands, self.band_nets, layout.ranges):
@@ -319,17 +325,13 @@ class SeparationModel(Module):
                 y = y[:, : hi - lo, :]
             band_outputs.append(y)
         merged = ad.concat(band_outputs, axis=1)
+        del band_outputs, xa, y  # merged holds a copy
 
-        xf = _pad_axis(x, 1, self.full_net.freq_bins)
-        yf = self.full_net(ad.constant(xf))
-        if yf.shape[1] != spec.num_bins:
-            yf = yf[:, : spec.num_bins, :]
-
-        y = ad.concat([merged, yf], axis=0)
-        # yf views the full band's whole channel buffer: free it, and the
-        # band outputs, before the final block builds its own
-        del band_outputs, merged, yf
-        y = self.final(y)
+        # the final block reads merged and yf (a view of the full band's
+        # last output buffer) as its channel parts; without a graph they
+        # are freed before the head
+        y = self.final([merged, yf])
+        del merged, yf
         y = ad.relu(self.head(y))
         if t_pad != t:
             y = y[:, :, :t]

@@ -116,6 +116,8 @@ CONV_GRAD_CASES = [
     (3, 4, 3, 3, "same", True),
     (3, 2, 5, 5, "same", False),
     (2, 3, 5, 1, "same", True),
+    (3, 2, 1, 1, "same", True),  # kernels one row high read the rows of x in place
+    (2, 3, 1, 3, "same", True),
 ]
 
 
@@ -160,15 +162,21 @@ def test_conv2d_shape_errors():
 
 
 def test_conv2d_writes_into_out():
+    """A 3x3 and a 1x1 conv (which reads its input rows in place), with
+    one row and an odd number of them, write into out and match the
+    nested-loop oracle."""
     rng = np.random.default_rng(1)
-    x = ad.constant(rand(rng, 2, 5, 6))
-    w = ad.constant(rand(rng, 3, 2, 3, 3))
-    b = ad.constant(rand(rng, 3))
-    buf = np.full((5, 5, 6), 9.0)
-    y = ad.conv2d(x, w, b, out=buf[1:4])
-    assert np.shares_memory(y.data, buf)
-    np.testing.assert_array_equal(buf[1:4], ad.conv2d(x, w, b).data)
-    np.testing.assert_array_equal(buf[[0, 4]], 9.0)
+    for (kh, kw), f in (((3, 3), 5), ((1, 1), 1), ((1, 1), 5)):
+        x = ad.constant(rand(rng, 2, f, 6))
+        w = ad.constant(rand(rng, 3, 2, kh, kw))
+        b = ad.constant(rand(rng, 3))
+        buf = np.full((5, f, 6), 9.0)
+        y = ad.conv2d(x, w, b, out=buf[1:4])
+        assert np.shares_memory(y.data, buf)
+        np.testing.assert_array_equal(buf[1:4], ad.conv2d(x, w, b).data)
+        np.testing.assert_allclose(buf[1:4], conv2d_oracle(x.data, w.data, b.data, "same"),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(buf[[0, 4]], 9.0)
 
 
 def test_conv2d_nonfinite_detection():
@@ -316,6 +324,24 @@ def test_conv2d_never_builds_its_padded_input(monkeypatch):
         tracemalloc.stop()
     assert y.shape == (4, 64, 64)
     assert peak < padded_bytes, (peak, padded_bytes)
+
+
+def test_conv2d_1x1_reads_its_input_in_place():
+    """A kernel one row high needs no zero rows, so conv2d reads the rows
+    of its input in place: with many input channels and few output ones,
+    the forward allocates at its peak less than a quarter of the input,
+    where a tile of its rows would be the whole input (one row block)."""
+    rng = np.random.default_rng(5)
+    x = ad.constant(rand(rng, 64, 64, 64))
+    w, b = ad.constant(rand(rng, 2, 64, 1, 1)), ad.constant(rand(rng, 2))
+    tracemalloc.start()
+    try:
+        y = ad.conv2d(x, w, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (2, 64, 64)
+    assert peak < x.data.nbytes // 4, (peak, x.data.nbytes)
 
 
 # kernels wider than the maps below: on flattened rows, the shift of a
@@ -694,7 +720,9 @@ def test_batch_norm_relu_conv2d_narrower_than_kernel_matches_oracle(monkeypatch,
 
 def test_batch_norm_relu_conv2d_eval_checks(monkeypatch):
     """The op goes through _make, so it records a graph with grad on and
-    none under no_grad; a NaN running variance raises either way."""
+    none under no_grad; given channel parts, they are its parents, and
+    parts that differ in (f, t) or dtype are refused; a NaN running
+    variance raises either way."""
     rng = np.random.default_rng(21)
     x = ad.constant(rand(rng, 2, 4, 3))
     gamma, beta, mean, var = eval_stats(rng, 2)
@@ -708,6 +736,13 @@ def test_batch_norm_relu_conv2d_eval_checks(monkeypatch):
         y, _, _ = ad.batch_norm_relu_conv2d(x, gamma, beta, w, b, (mean, var))
     assert not y.requires_grad and y._parents == ()
     assert made == [(x, gamma, beta, w, b)] * 2
+    parts = [ad.constant(x.data[:1]), ad.constant(x.data[1:])]
+    y, _, _ = ad.batch_norm_relu_conv2d(parts, gamma, beta, w, b, (mean, var))
+    assert y._parents == (*parts, gamma, beta, w, b)
+    for bad in ([parts[0], ad.constant(x.data[1:, :3])],
+                [parts[0], ad.constant(x.data[1:].astype(np.float32))]):
+        with pytest.raises(ad.ShapeError, match="parts differ"):
+            ad.batch_norm_relu_conv2d(bad, gamma, beta, w, b, (mean, var))
     var[1] = np.nan
     with pytest.raises(ad.NumericError, match="conv2d"):
         ad.batch_norm_relu_conv2d(x, gamma, beta, w, b, (mean, var))

@@ -3,7 +3,6 @@ import gc
 import hashlib
 import json
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -50,19 +49,25 @@ def test_dense_block_channel_arithmetic():
 
 
 def dense_block_reference(blk, x):
-    """The re-concatenating dense block the channel buffer replaced:
-    unfused BN -> ReLU -> same-padded conv, and each layer input a fresh
-    concat of the block input and every earlier output."""
+    """The re-concatenating dense block the channel parts replaced:
+    the block input (a map or its channel parts) concatenated, unfused
+    BN -> ReLU -> same-padded conv, each layer input a fresh concat of
+    the block input and every earlier output, and in training each
+    batch's statistics folded into the running ones as DenseLayer does."""
+    x = ad.concat([x] if isinstance(x, ad.Tensor) else x, axis=0)
     outputs = []
     state = x
     for j in range(blk.layers):
         layer = blk._children["layer%d" % j]
         bn = layer.bn
+        stats = bn._buffers["running_mean"], bn._buffers["running_var"]
         if bn.training:
-            h, _, _ = ad.batch_norm_train(state, bn.gamma, bn.beta)
+            h, mean, var = ad.batch_norm_train(state, bn.gamma, bn.beta)
+            for running, batch in zip(stats, (mean, var)):
+                running *= 1.0 - bn.momentum
+                running += bn.momentum * batch
         else:
-            h = ad.batch_norm_eval(state, bn.gamma, bn.beta, bn._buffers["running_mean"],
-                                   bn._buffers["running_var"])
+            h = ad.batch_norm_eval(state, bn.gamma, bn.beta, *stats)
         outputs.append(layer.conv(ad.relu(h)))
         state = ad.concat([x] + outputs, axis=0)
     return ad.concat(outputs, axis=0)
@@ -77,32 +82,82 @@ def randomize_running_stats(module, rng):
         module._buffers["running_var"][...] = rng.uniform(0.5, 2.0, c)
 
 
+def dense_blocks(module):
+    for child in module._children.values():
+        if isinstance(child, DenseBlock):
+            yield child
+        yield from dense_blocks(child)
+
+
+def assert_runs_bitwise_equal(module, dtype, training, inputs, run, reference):
+    """run() and reference() build the same output from module's state.
+    From the same running statistics, each gives a bitwise equal output
+    of the dtype (also under no_grad in eval mode), gradients of every
+    input tensor and parameter for the loss sum(y * y), and running
+    statistics."""
+    module.set_training(training)
+    start = [b.copy() for _, b in module.named_buffers()]
+    leaves = inputs + [p for _, p in module.named_params()]
+    records = []
+    for build in (run, reference):
+        for (_, b), b0 in zip(module.named_buffers(), start):
+            b[...] = b0
+        for p in leaves:
+            p.zero_grad()
+        record = []
+        if not training:
+            with ad.no_grad():
+                record.append(build().data.copy())
+        y = build()
+        assert y.data.dtype == dtype
+        tsum(ad.mul(y, y)).backward()
+        record += [y.data.copy()] + [p.grad for p in leaves]
+        records.append(record + [b.copy() for _, b in module.named_buffers()])
+    got, want = records
+    assert all(g is not None for g in got)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+# the channel parts a dense block's 4-channel input is given as
+PART_SPLITS = [(4,), (1, 3), (2, 1, 1)]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("layers", [1, 3])
 @pytest.mark.parametrize("training", [False, True])
 def test_dense_block_matches_concat_reference(dtype, layers, training):
-    blk = DenseBlock(2, layers, 4, RNG(40)).astype(dtype)
+    """A dense block given its input as one map, two parts or three
+    (1-channel parts among them), and the toy model in each combination
+    mode, against the concat reference: bitwise equal outputs, gradients
+    of every parameter and input part, and running statistics, in train
+    mode, in eval mode with grad on and under no_grad."""
+    blk = DenseBlock(4, layers, 4, RNG(40)).astype(dtype)
     randomize_running_stats(blk, RNG(41))
-    blk.set_training(training)
-    x = ad.parameter(RNG(42).standard_normal((2, 6, 10)).astype(dtype))
-    params = [x] + [p for _, p in blk.named_params()]
+    x = RNG(42).standard_normal((4, 6, 10)).astype(dtype)
+    for split in PART_SPLITS:
+        ends = np.cumsum(split)
+        parts = [ad.parameter(x[e - n:e]) for n, e in zip(split, ends)]
+        given = parts if len(parts) > 1 else parts[0]
+        assert_runs_bitwise_equal(blk, dtype, training, parts, lambda: blk(given),
+                                  lambda: dense_block_reference(blk, parts))
 
-    if not training:
-        with ad.no_grad():
-            np.testing.assert_array_equal(blk(x).data, dense_block_reference(blk, x).data)
+    for mode in ("Sa", "Sb", "P"):
+        m = SeparationModel(dataclasses.replace(toy_arch(), mode=mode), seed=43).astype(dtype)
+        randomize_running_stats(m, RNG(44))
+        mag = np.abs(RNG(45).standard_normal((2, m.spec.num_bins, 12)))
 
-    grads = []
-    for run in (blk, lambda v: dense_block_reference(blk, v)):
-        for p in params:
-            p.zero_grad()
-        y = run(x)
-        tsum(ad.mul(y, y)).backward()
-        grads.append((y.data.copy(), [p.grad for p in params]))
-    (y_new, g_new), (y_ref, g_ref) = grads
-    assert y_new.dtype == dtype
-    np.testing.assert_array_equal(y_new, y_ref)
-    for a, b in zip(g_new, g_ref):
-        np.testing.assert_array_equal(a, b)
+        def reference():
+            blocks = list(dense_blocks(m))
+            for block in blocks:
+                block.forward = lambda v, block=block: dense_block_reference(block, v)
+            try:
+                return m.forward(mag)
+            finally:
+                for block in blocks:
+                    del block.forward
+
+        assert_runs_bitwise_equal(m, dtype, training, [], lambda: m.forward(mag), reference)
 
 
 def test_eval_dense_layer_never_builds_its_halo_map(monkeypatch):
@@ -363,59 +418,90 @@ def test_forward_deterministic_in_eval_mode():
     np.testing.assert_array_equal(a, b)
 
 
-def test_full_band_buffer_is_freed_before_the_final_block():
-    """Under no_grad, the full band's output views its last dense block's
-    whole channel buffer. Nothing holds that buffer once the final block
-    starts. The full band and final forwards are shadowed, as
-    feature_map_norms does, to watch the buffer and test it."""
-    spec = toy_arch()
-    m = SeparationModel(spec, seed=21)
-    m.set_training(False)
-    full_forward, final_forward = m.full_net.forward, m.final.forward
-    buffers, alive_at_final = [], []
+def shadow_forward(module, record):
+    """Shadow module's forward on this instance, as feature_map_norms
+    does: record(x, y) sees each call's input and output."""
+    forward = module.forward
 
-    def full(x):
-        y = full_forward(x)
-        buffers.append(weakref.ref(y.data.base))
+    def shadowed(x):
+        y = forward(x)
+        record(x, y)
         return y
 
-    def final(x):
-        alive_at_final.append(buffers[-1]() is not None)
-        return final_forward(x)
-
-    m.full_net.forward, m.final.forward = full, final
-    x = np.abs(RNG(22).standard_normal((2, spec.num_bins, 8)))
-    with ad.no_grad():
-        m.forward(x)
-    assert alive_at_final == [False]
+    module.forward = shadowed
 
 
-def test_full_band_skip_buffer_is_freed_before_its_up_slot():
-    """Under no_grad, the full band's d1 output views its dense block's
-    whole channel buffer. Nothing holds that buffer once u1 starts: the
-    up path's concat has copied the skip. d1's and u1's forwards are
-    shadowed, as feature_map_norms does, to watch the buffer and test it."""
+def allocation(a):
+    """The array that owns a's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_up_slot_reads_its_skip_in_place():
+    """The full band's u1 gets the upsampled map and d1's output as two
+    channel parts, the second d1's output itself; its dense block's
+    buffer holds exactly layers * growth channels, its outputs."""
     spec = toy_arch()
     m = SeparationModel(spec, seed=23)
     m.set_training(False)
-    d1, u1 = m.full_net._children["d1"], m.full_net._children["u1"]
-    d1_forward, u1_forward = d1.forward, u1.forward
-    buffers, alive_at_u1 = [], []
-
-    def down(x):
-        y = d1_forward(x)
-        buffers.append(weakref.ref(y.data.base))
-        return y
-
-    def up(x):
-        alive_at_u1.append(buffers[-1]() is not None)
-        return u1_forward(x)
-
-    d1.forward, u1.forward = down, up
+    net = m.full_net
+    d1, u1 = net._children["d1"], net._children["u1"]
+    seen = {}
+    shadow_forward(d1, lambda x, y: seen.update(d1=y))
+    shadow_forward(u1, lambda x, y: seen.update(u1_in=x))
+    shadow_forward(u1.dense, lambda x, y: seen.update(u1_out=y))
     x = np.abs(RNG(24).standard_normal((2, spec.num_bins, 8)))
     with ad.no_grad():
         m.forward(x)
-    assert alive_at_u1 == [False]
+    up, skip = seen["u1_in"]
+    assert skip is seen["d1"]
+    assert up.shape[0] == net._children["up1"].c_out
+    buf = allocation(seen["u1_out"].data)
+    assert buf.shape == (u1.dense.layers * u1.dense.growth,) + skip.shape[1:]
+    assert not np.shares_memory(buf, skip.data) and not np.shares_memory(buf, up.data)
+
+
+def test_final_block_reads_its_parts_in_place():
+    """The final block gets the merged band outputs and the full band's
+    output as two channel parts, the second a view of the full band's
+    last output buffer; its buffer holds exactly layers * growth
+    channels, which the head conv reads."""
+    spec = toy_arch()
+    m = SeparationModel(spec, seed=21)
+    m.set_training(False)
+    seen = {}
+    shadow_forward(m.full_net, lambda x, y: seen.update(full=y))
+    shadow_forward(m.final, lambda x, y: seen.update(final_in=x, final_out=y))
+    x = np.abs(RNG(22).standard_normal((2, spec.num_bins, 8)))
+    with ad.no_grad():
+        m.forward(x)
+    merged, yf = seen["final_in"]
+    assert merged.shape == (spec.merge_channels, spec.num_bins, 8)
+    assert yf.shape == (m.full_net.out_channels, spec.num_bins, 8)
+    assert np.shares_memory(yf.data, seen["full"].data)
+    buf = allocation(seen["final_out"].data)
+    assert buf.shape == (spec.final_layers * spec.final_growth,) + yf.shape[1:]
+
+
+def test_default_inference_forward_peak_memory():
+    """A default-spec fp32 forward under no_grad at 256 frames allocates
+    at most 212 MiB at its peak (tracemalloc): the dense blocks read
+    their input parts in place and the 1x1 convs their rows. Copying
+    the skips and each block input into its buffer peaked at 265.5 MiB."""
+    spec = default_arch()
+    m = SeparationModel(spec, seed=0).astype(np.float32)
+    m.set_training(False)
+    x = np.abs(RNG(25).standard_normal((2, spec.num_bins, 256))).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            y = m.forward(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.shape == x.shape
+    assert peak <= 212 << 20, peak / 2**20
 
 
 def test_forward_is_nonlinear_in_magnitude():
