@@ -10,7 +10,8 @@ from the parts), ReLU/sigmoid/tanh, 2x2
 average pooling, stride-2 transposed convolution, affine maps,
 concatenation, slicing and the usual elementwise/reduction glue. Each
 operation records a backward closure; `Tensor.backward()` runs a
-reverse topological sweep.
+reverse topological sweep. Inside `row_threads`, each conv forward
+splits its row blocks between the caller and one worker thread.
 
 Conventions:
   * feature maps are (channels, frequency, time), row-major
@@ -21,6 +22,9 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import os
 
 import numpy as np
 
@@ -30,6 +34,7 @@ __all__ = [
     "NumericError",
     "ShapeError",
     "no_grad",
+    "row_threads",
     "constant",
     "parameter",
     "add",
@@ -82,6 +87,73 @@ def no_grad():
         _recording = prev
 
 
+_worker = None  # the executor that runs half of each conv2d forward, inside row_threads
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) for the thread count of numpy's BLAS, or None when it
+    offers no such control (MKL, Accelerate). ctypes opens numpy's
+    _multiarray_umath extension: a symbol looked up in a library is
+    searched in it and in the libraries it loaded, numpy's bundled
+    OpenBLAS among them, under the names of scipy-openblas (numpy 2)
+    or of OpenBLAS with and without the 64_ suffix of its 64-bit-int
+    build (numpy 1)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    lib = ctypes.CDLL(umath.__file__)
+    for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
+                 "openblas_%s_num_threads"):
+        get, set_ = (getattr(lib, name % verb, None) for verb in ("get", "set"))
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@functools.cache
+def _row_worker():
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1, thread_name_prefix="stemsep-rows")
+
+
+@contextlib.contextmanager
+def row_threads():
+    """Run the conv2d forwards inside the scope on two threads: each one
+    with two or more row blocks gives those past the first half of its
+    rows to one persistent worker thread and runs the others. BLAS is set
+    to one thread for the scope and reset on exit, so the two threads
+    use two cores. The split is at block boundaries, so each GEMM has
+    its sequential shape and the output does not depend on timing: it
+    is bitwise equal to the sequential forward at one BLAS thread.
+
+    Like no_grad, the scope is process-wide. It runs the sequential path
+    when BLAS offers no thread control (_blas_threads), BLAS has one
+    thread (OPENBLAS_NUM_THREADS=1, or a scope is already open), or this
+    process may use one core. The worker and the BLAS handle are made at
+    the first scope that uses them. Training runs outside any scope: on
+    its 16-frame excerpts the split of the forward gained nothing, and
+    the backward would run at one BLAS thread."""
+    global _worker
+    blas = _blas_threads()
+    threads = blas[0]() if blas is not None else 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if threads < 2 or (cores or 1) < 2:
+        yield
+        return
+    blas[1](1)
+    _worker = _row_worker()
+    try:
+        yield
+    finally:
+        _worker = None
+        blas[1](threads)
+
+
 class Tensor:
     """A node in the computation graph: a value plus backward bookkeeping."""
 
@@ -111,9 +183,16 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, fresh=False):
+        """Add g to the gradient. fresh=True says the caller made g for
+        this call and keeps no reference to it, so a first g of the
+        gradient's dtype becomes the gradient itself; any other first g,
+        a view or an array shared between parents, is copied."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            if fresh and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
 
@@ -181,11 +260,18 @@ def _make(data, parents, backward):
     return out
 
 
+def _all_finite(arr):
+    """Whether arr holds only finite values, read without a temporary:
+    min and max propagate NaN, and inf is one of them."""
+    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 def _check_finite(arr, where):
-    """Finiteness guard on the outputs of conv2d and sigmoid (BiLSTM
-    checks its cell state too). BN and ReLU are not checked themselves:
-    they propagate NaN/inf into the next conv2d, whose check raises."""
-    if not np.all(np.isfinite(arr)):
+    """Finiteness guard on the outputs of sigmoid and, block by block in
+    _conv_forward, conv2d (BiLSTM checks its cell state too). BN and
+    ReLU are not checked themselves: they propagate NaN/inf into the
+    next conv2d, whose check raises."""
+    if not _all_finite(arr):
         raise NumericError("non-finite values in output of %s" % where)
 
 
@@ -356,27 +442,29 @@ def _conv_setup(shape, dtype, weight, bias, out):
 
 
 def _padded_rows(fill, shape, dtype, ph):
-    """read_rows for _conv_forward over a (c, f, t) map bordered by ph
-    zero rows above and below. Each call builds rows [lo, hi) of the
-    bordered input in one reused (c, rows, t) tile, sized by the first
-    (tallest) call: fill(dst, a, b) writes rows [a, b) of the map into
-    dst, one contiguous span per channel. The whole bordered input never
-    exists (Pleiss et al. 2017, arXiv:1707.06990)."""
+    """A reader for _conv_forward over a (c, f, t) map bordered by ph
+    zero rows above and below. reader(height) makes a (c, height, t)
+    tile and returns read_rows(lo, hi), which builds rows [lo, hi) of
+    the bordered input in that tile, hi - lo <= height: fill(dst, a, b)
+    writes rows [a, b) of the map into dst, one contiguous span per
+    channel. The whole bordered input never exists (Pleiss et al. 2017,
+    arXiv:1707.06990)."""
     c, f, t = shape
-    tile = None
 
-    def read_rows(lo, hi):
-        nonlocal tile
-        if tile is None:
-            tile = np.zeros((c, hi - lo, t), dtype=dtype)
-        rows = tile[:, :hi - lo]
-        a, b = max(lo, ph), min(hi, ph + f)  # the bordered rows that hold rows of the map
-        rows[:, :a - lo] = 0
-        rows[:, b - lo:] = 0
-        fill(rows[:, a - lo:b - lo], a - ph, b - ph)
-        return rows
+    def reader(height):
+        tile = np.empty((c, height, t), dtype=dtype)  # read_rows writes every row it returns
 
-    return read_rows
+        def read_rows(lo, hi):
+            rows = tile[:, :hi - lo]
+            a, b = max(lo, ph), min(hi, ph + f)  # the bordered rows that hold rows of the map
+            rows[:, :a - lo] = 0
+            rows[:, b - lo:] = 0
+            fill(rows[:, a - lo:b - lo], a - ph, b - ph)
+            return rows
+
+        return read_rows
+
+    return reader
 
 
 def _zero_wraps(taps):
@@ -393,36 +481,67 @@ def _zero_wraps(taps):
             taps[:, dj, ..., max(t + s, 0):] = 0
 
 
-def _conv_forward(read_rows, w, bias, out):
+def _conv_forward(reader, w, bias, out):
     """out = bias + the same cross-correlation of w with an input whose
     rows are bordered by kh // 2 zero rows, one block of output rows at
-    a time.
+    a time; raises NumericError if out is not finite.
 
-    read_rows(lo, hi) returns rows [lo, hi) of the bordered (c_in, fp, t)
-    input, the first call being the tallest. A block of n output rows
-    needs n + kh - 1 input rows; one GEMM of the tap-major kernel w9
-    (kh*kw*c_out, c_in) against them, read in place, gives the block's
-    (kh, kw, c_out, (n + kh - 1) * t) tap array. On flattened rows, tap
-    (di, dj) is the shift by di * t + dj - kw // 2: its wrapping columns
-    are zeroed (_zero_wraps) and its kh*kw shifted spans are added into
-    the block in (di, dj) order. n keeps the tap array near
-    CONV_TILE_BYTES, so the taps are added while in cache.
+    reader(height) returns a read_rows(lo, hi), with its own buffer if
+    it needs one, that gives rows [lo, hi) of the bordered (c_in, fp, t)
+    input, hi - lo <= height. A block of n output rows needs n + kh - 1
+    input rows; one GEMM of the tap-major kernel w9 (kh*kw*c_out, c_in)
+    against them, read in place, gives the block's (kh, kw, c_out,
+    (n + kh - 1) * t) tap array. On flattened rows, tap (di, dj) is the
+    shift by di * t + dj - kw // 2: its wrapping columns are zeroed
+    (_zero_wraps) and its kh*kw shifted spans are added into the block
+    in (di, dj) order. n keeps the tap array near CONV_TILE_BYTES, so the
+    taps are added, and the block checked for finiteness, while in cache.
+
+    Inside row_threads, the blocks after the first half of the rows go
+    to the worker thread. The caller makes the worker's reader and tap
+    array, so the worker allocates nothing, and raises only once both
+    halves are done, so that no thread writes into out after the op has
+    raised.
     """
     c_out, c_in, kh, kw = w.shape
     _, fo, t = out.shape
     w9 = w.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
     rows = max(1, CONV_TILE_BYTES // (w9.shape[0] * max(t, 1) * out.itemsize) - (kh - 1))
-    for r0 in range(0, fo, rows):
-        n = min(rows, fo - r0)
-        m = (n + kh - 1) * t
-        taps = (w9 @ read_rows(r0, r0 + n + kh - 1).reshape(c_in, m)).reshape(kh, kw, c_out, m)
-        _zero_wraps(taps.reshape(kh, kw, c_out, n + kh - 1, t))
-        block = out[:, r0:r0 + n].reshape(c_out, n * t)
-        block[:] = bias[:, None]
-        for di in range(kh):
-            for dj in range(kw):
-                dst, src = _tap_span(-(di * t + dj - kw // 2), n * t, m)
-                block[:, dst] += taps[di, dj, :, src]
+
+    def run(starts, read_rows, tap_buffer):
+        finite = True
+        for r0 in starts:
+            n = min(rows, fo - r0)
+            m = (n + kh - 1) * t
+            taps = np.matmul(w9, read_rows(r0, r0 + n + kh - 1).reshape(c_in, m),
+                             out=tap_buffer[:w9.shape[0] * m].reshape(w9.shape[0], m))
+            taps = taps.reshape(kh, kw, c_out, m)
+            _zero_wraps(taps.reshape(kh, kw, c_out, n + kh - 1, t))
+            block = out[:, r0:r0 + n].reshape(c_out, n * t)
+            block[:] = bias[:, None]
+            for di in range(kh):
+                for dj in range(kw):
+                    dst, src = _tap_span(-(di * t + dj - kw // 2), n * t, m)
+                    block[:, dst] += taps[di, dj, :, src]
+            finite = finite and _all_finite(block)
+        return finite
+
+    starts = range(0, fo, rows)
+    height = min(rows, fo) + kh - 1
+    job = lambda s: (s, reader(height), np.empty(w9.shape[0] * height * t, dtype=out.dtype))
+    worker = _worker
+    if worker is None or len(starts) < 2:
+        finite = run(*job(starts))
+    else:
+        half = round(fo / (2 * rows))  # the blocks nearest half the rows, at least one each
+        future = worker.submit(run, *job(starts[half:]))
+        try:
+            finite = run(*job(starts[:half]))
+        finally:
+            future.exception()  # waits for the worker's half
+        finite = future.result() and finite
+    if not finite:
+        raise NumericError("non-finite values in output of conv2d")
 
 
 def _tap_span(s, n, m):
@@ -490,16 +609,15 @@ def conv2d(x, weight, bias, out=None):
     ph, out_data = _conv_setup(xd.shape, xd.dtype, weight, bias, out)
     if ph:
         copy_rows = lambda dst, a, b: np.copyto(dst, xd[:, a:b])
-        read_rows = _padded_rows(copy_rows, xd.shape, xd.dtype, ph)
+        reader = _padded_rows(copy_rows, xd.shape, xd.dtype, ph)
     else:
-        read_rows = lambda lo, hi: xd[:, lo:hi]
-    _conv_forward(read_rows, weight.data, bias.data, out_data)
-    _check_finite(out_data, "conv2d")
+        reader = lambda height: lambda lo, hi: xd[:, lo:hi]
+    _conv_forward(reader, weight.data, bias.data, out_data)
 
     def backward(g):
         gx = _conv_backward(g, x.data, weight, bias, x.requires_grad)
         if gx is not None:
-            x._accumulate(gx)
+            x._accumulate(gx, fresh=True)
 
     return _make(out_data, (x, weight, bias), backward)
 
@@ -618,7 +736,7 @@ def _bn_backward(g, parts, offsets, gamma, beta, mean, inv_std, scale_c, train):
                 gx *= scale_c[lo:hi, None, None]
             else:
                 gx = gp * scale_c[lo:hi, None, None]
-            x._accumulate(gx)
+            x._accumulate(gx, fresh=True)
     if gamma.requires_grad:
         gamma._accumulate(np.concatenate(g_xhat))
     if beta.requires_grad:
@@ -685,7 +803,6 @@ def batch_norm_relu_conv2d(x, gamma, beta, weight, bias, running=None, out=None)
 
     _conv_forward(_padded_rows(affine_relu_rows, shape, dtype, ph), weight.data, bias.data,
                   out_data)
-    _check_finite(out_data, "conv2d")
 
     def backward(g):
         h = np.empty(shape, dtype=dtype)

@@ -149,15 +149,21 @@ def normalize_magnitude(mag):
 def estimate_magnitudes(models: dict, mag) -> dict:
     """Run each source model on the (normalized) (ch, f, t) mixture
     magnitude. A mono magnitude goes to a stereo model on both channels,
-    and the channel mean of its estimate comes back."""
+    and the channel mean of its estimate comes back.
+
+    The forwards run under no_grad and inside one ad.row_threads scope:
+    each conv splits its row blocks across two threads, with BLAS at one
+    thread until the scope ends. Their output is bitwise that of the
+    sequential forwards at one BLAS thread, and OPENBLAS_NUM_THREADS=1
+    keeps them on one core."""
     mag, norm = normalize_magnitude(mag)
     out = {}
-    for name, model in models.items():
-        model.set_training(False)
-        channels = model.spec.io_channels
-        with ad.no_grad():
+    with ad.no_grad(), ad.row_threads():
+        for name, model in models.items():
+            model.set_training(False)
+            channels = model.spec.io_channels
             est = model.forward(np.broadcast_to(mag, (channels,) + mag.shape[1:])).data
-        out[name] = (est if channels == len(mag) else est.mean(axis=0, keepdims=True)) * norm
+            out[name] = (est if channels == len(mag) else est.mean(axis=0, keepdims=True)) * norm
     return out
 
 

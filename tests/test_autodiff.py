@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from gradcheck import grad_check, tsum
 from stemsep import autodiff as ad
+from threads import fake_blas, one_blas_thread, record_worker_jobs, two_blas_threads
 from stemsep.layers import BiLSTM, Conv2d
 from stemsep.model import DenseLayer
 
@@ -238,25 +241,67 @@ def tile_bytes(c_out, kh, kw, t, dtype, rows=TILE_ROWS):
     return (rows + kh - 1) * kh * kw * c_out * t * np.dtype(dtype).itemsize
 
 
+def recording_reader(xp, calls, heights):
+    """A _conv_forward reader over the bordered input xp that records
+    the height of each reader made, and the thread and rows of each
+    read, in calls."""
+    def reader(height):
+        heights.append((threading.current_thread().name, height))
+
+        def read_rows(lo, hi):
+            calls.append((threading.current_thread().name, lo, hi))
+            return xp[:, lo:hi]
+
+        return read_rows
+
+    return reader
+
+
 def test_conv2d_row_blocks(monkeypatch):
     """Blocks of TILE_ROWS output rows, each reading kh - 1 more input
-    rows bordered by zero rows above and below (no zero columns), the
-    first the tallest; the last block is short."""
+    rows bordered by zero rows above and below (no zero columns), from
+    one reader made as tall as the first block's rows; the last block is
+    short. Outside row_threads, all on the caller's thread."""
     monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, 3, 3, 4, np.float64))
     rng = np.random.default_rng(3)
     x = rand(rng, 4, 7, 4)
     xp = np.pad(x, ((0, 0), (1, 1), (0, 0)))
-    calls = []
-
-    def read_rows(lo, hi):
-        calls.append((lo, hi))
-        return xp[:, lo:hi]
-
+    calls, heights = [], []
     out = np.empty((2, 7, 4))
     w, b = rand(rng, 2, 4, 3, 3), rand(rng, 2)
-    ad._conv_forward(read_rows, w, b, out)
-    assert calls == [(0, 5), (3, 8), (6, 9)]
+    ad._conv_forward(recording_reader(xp, calls, heights), w, b, out)
+    main = threading.current_thread().name
+    assert heights == [(main, 5)]
+    assert calls == [(main, 0, 5), (main, 3, 8), (main, 6, 9)]
     assert_conv_close(out, conv2d_oracle(x, w, b, "same"), x, w, b, "same")
+
+
+def test_conv2d_row_blocks_split_across_threads(monkeypatch):
+    """Inside row_threads, blocks of TILE_ROWS rows over 13 rows (the
+    last block one row) split where they come nearest half the rows:
+    the caller reads the first two blocks (6 rows), the worker the other
+    three (7 rows) in order, each through its own reader, both made on
+    the caller's thread. The output is bitwise the sequential one."""
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, 3, 3, 4, np.float64))
+    counts = fake_blas(monkeypatch)
+    jobs = record_worker_jobs(monkeypatch)
+    rng = np.random.default_rng(3)
+    x = rand(rng, 4, 13, 4)
+    xp = np.pad(x, ((0, 0), (1, 1), (0, 0)))
+    w, b = rand(rng, 2, 4, 3, 3), rand(rng, 2)
+    want = np.empty((2, 13, 4))
+    ad._conv_forward(recording_reader(xp, [], []), w, b, want)
+    calls, heights = [], []
+    out = np.empty((2, 13, 4))
+    with ad.row_threads():
+        ad._conv_forward(recording_reader(xp, calls, heights), w, b, out)
+    main = threading.current_thread().name
+    assert len(jobs) == 1 and jobs[0] != main and counts == [2, 1, 2]
+    assert heights == [(main, 5), (main, 5)]
+    assert [c for c in calls if c[0] == main] == [(main, 0, 5), (main, 3, 8)]
+    assert [c for c in calls if c[0] != main] == [(jobs[0], 6, 11), (jobs[0], 9, 14),
+                                                  (jobs[0], 12, 15)]
+    np.testing.assert_array_equal(out, want)
 
 
 # (c_in, c_out, kh, kw, padding); a "valid" case checks the fo-row
@@ -378,6 +423,156 @@ def test_conv2d_on_a_map_without_columns():
     np.testing.assert_array_equal(b.grad, 0.0)
 
 
+# (fo, rows per block): maps of 1 row, 2 rows and an odd number of
+# rows, in 1, 2 and 3 row blocks
+SPLIT_CASES = [(1, 1), (2, 2), (2, 1), (7, 7), (7, 4), (7, 3)]
+
+
+def split_conv_runs(rng, dtype, kh, fo):
+    """conv2d on a 4-channel map, written into out, and the eval-mode
+    dense layer op on the same map given as two channel parts."""
+    t = 5
+    x = rand(rng, 4, fo, t).astype(dtype)
+    parts = [ad.constant(x[:1]), ad.constant(x[1:])]
+    w = ad.constant(rand(rng, 2, 4, kh, kh).astype(dtype))
+    b = ad.constant(rand(rng, 2).astype(dtype))
+    gamma, beta, mean, var = eval_stats(rng, 4, dtype)
+
+    def conv():
+        out = np.empty((2, fo, t), dtype=dtype)
+        return ad.conv2d(ad.constant(x), w, b, out=out).data
+
+    def dense_layer():
+        return ad.batch_norm_relu_conv2d(parts, gamma, beta, w, b, (mean, var))[0].data
+
+    return conv, dense_layer
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kh", [1, 3])
+@pytest.mark.parametrize("fo, rows", SPLIT_CASES)
+def test_row_threads_match_sequential_forward_bitwise(monkeypatch, dtype, kh, fo, rows):
+    """Inside row_threads, conv2d (a 1x1 one reading its rows in place)
+    and the dense layer op give bitwise the output of the sequential
+    forward at one BLAS thread; a conv of one row block stays on the
+    caller's thread. BLAS has its two threads back after the scope."""
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, kh, kh, 5, dtype, rows))
+    with two_blas_threads(monkeypatch) as blas:
+        jobs = record_worker_jobs(monkeypatch)
+        for run in split_conv_runs(np.random.default_rng(fo + rows), dtype, kh, fo):
+            with one_blas_thread(blas):
+                want = run()
+            with ad.row_threads():
+                got = run()
+            assert blas[0]() == 2
+            np.testing.assert_array_equal(got, want, strict=True)
+        assert len(jobs) == (2 if fo > rows else 0)
+
+
+def test_row_threads_stay_bitwise_under_frequent_thread_switches(monkeypatch):
+    """With the interpreter switching threads every microsecond, 30 split
+    forwards of the dense layer op over 12 row blocks each give bitwise
+    the sequential output: the halves share only out, in disjoint rows."""
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, 3, 3, 5, np.float32, 2))
+    fake_blas(monkeypatch)
+    run = split_conv_runs(np.random.default_rng(9), np.float32, 3, 23)[1]
+    want = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ad.row_threads():
+            for _ in range(30):
+                np.testing.assert_array_equal(run(), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("blas, cores", [(None, 2), (1, 2), (2, 1)])
+def test_row_threads_fall_back_to_the_sequential_path(monkeypatch, blas, cores):
+    """With no BLAS thread control (MKL, Accelerate), BLAS at one thread
+    or one core to run on, the scope changes nothing: the worker gets no
+    job and the BLAS thread count is left alone."""
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, 3, 3, 5, np.float64))
+    counts = fake_blas(monkeypatch, blas or 2)
+    if blas is None:
+        monkeypatch.setattr(ad, "_blas_threads", lambda: None)
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    jobs = record_worker_jobs(monkeypatch)
+    run = split_conv_runs(np.random.default_rng(6), np.float64, 3, 7)[0]
+    want = run()
+    with ad.row_threads():
+        assert ad._worker is None
+        got = run()
+    np.testing.assert_array_equal(got, want)
+    assert jobs == [] and counts == [blas or 2]
+
+
+@pytest.mark.parametrize("bad_row", [0, 6])
+def test_row_threads_raise_after_both_halves_and_reset_blas(monkeypatch, bad_row):
+    """A NaN in either half's rows raises conv2d's NumericError once both
+    halves are written: the other half's rows hold their values. The
+    scope then resets BLAS and drops the worker; a nested scope leaves
+    both to the outer one."""
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, 1, 1, 5, np.float64))
+    counts = fake_blas(monkeypatch)
+    rng = np.random.default_rng(7)
+    x = rand(rng, 4, 7, 5)
+    w, b = ad.constant(rand(rng, 2, 4, 1, 1)), ad.constant(rand(rng, 2))
+    want = ad.conv2d(ad.constant(x), w, b).data
+    x[1, bad_row, 2] = np.nan
+    out = np.zeros((2, 7, 5))
+    with pytest.raises(ad.NumericError, match="non-finite values in output of conv2d"):
+        with ad.row_threads():
+            with ad.row_threads():
+                pass
+            assert ad._worker is not None and counts == [2, 1]
+            ad.conv2d(ad.constant(x), w, b, out=out)
+    assert ad._worker is None and counts == [2, 1, 2]
+    good = slice(3, 7) if bad_row < 3 else slice(0, 3)  # the 3 + 4 rows split at 3
+    np.testing.assert_array_equal(out[:, good], want[:, good])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_accumulate_takes_fresh_gradients_and_copies_views(monkeypatch, dtype):
+    """conv2d's input gradient and the dense layer op's per-part ones are
+    made fresh and become the parent's grad; slices of a concat's
+    gradient are copied. The gradients are bitwise those of copying
+    every first gradient."""
+    rng = np.random.default_rng(8)
+    a, c = (ad.parameter(rand(rng, n, 4, 5).astype(dtype)) for n in (2, 3))
+    w, b = ad.parameter(rand(rng, 2, 5, 3, 3).astype(dtype)), ad.parameter(rand(rng, 2).astype(dtype))
+    gamma, beta, _, _ = eval_stats(rng, 5, dtype)
+    g = ad.constant(rand(rng, 5, 4, 5).astype(dtype))
+    x = ad.parameter(rand(rng, 5, 4, 5).astype(dtype))
+    graphs = [
+        ([x], lambda: tsum(ad.conv2d(x, w, b)), True),
+        ([a, c], lambda: tsum(ad.batch_norm_relu_conv2d([a, c], gamma, beta, w, b)[0]), True),
+        ([a, c], lambda: tsum(ad.mul(ad.concat([a, c]), g)), False),
+    ]
+    accumulate = ad.Tensor._accumulate
+    for leaves, build, fresh in graphs:
+        grads = []
+        for copy_all in (False, True):
+            given = {}
+
+            def spy(self, grad, fresh=False):
+                if self.grad is None:
+                    given[id(self)] = (grad, fresh)
+                accumulate(self, grad, fresh and not copy_all)
+
+            monkeypatch.setattr(ad.Tensor, "_accumulate", spy)
+            for p in leaves:
+                p.zero_grad()
+            build().backward()
+            monkeypatch.undo()
+            grads.append([p.grad for p in leaves])
+            for p in leaves:
+                grad, was_fresh = given[id(p)]
+                assert was_fresh == fresh
+                assert (p.grad is grad) == (fresh and not copy_all)
+                assert fresh or not np.shares_memory(p.grad, grad)
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want, strict=True)
 def test_conv2d_rejects_out_without_contiguous_planes():
     """The forward writes each output channel's (f, t) plane as one
     flattened span, so an out whose planes are strided is refused before

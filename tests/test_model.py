@@ -22,6 +22,7 @@ from stemsep.arch import (
 )
 from stemsep.model import BandNet, DenseBlock, LstmBlock, SeparationModel, Slot
 from structure import model_wiring, slot_wiring
+from threads import one_blas_thread, record_worker_jobs, two_blas_threads
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -158,6 +159,28 @@ def test_dense_block_matches_concat_reference(dtype, layers, training):
                     del block.forward
 
         assert_runs_bitwise_equal(m, dtype, training, [], lambda: m.forward(mag), reference)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["Sa", "Sb", "P"])
+def test_row_threads_forward_matches_sequential_bitwise(monkeypatch, mode, dtype):
+    """The toy model's no-grad eval forward inside row_threads, with a
+    tile small enough that most convs take several row blocks, is
+    bitwise the sequential forward at one BLAS thread."""
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", 4 << 10)
+    m = SeparationModel(dataclasses.replace(toy_arch(), mode=mode), seed=46).astype(dtype)
+    randomize_running_stats(m, RNG(47))
+    m.set_training(False)
+    mag = np.abs(RNG(48).standard_normal((2, m.spec.num_bins, 12))).astype(dtype)
+    with two_blas_threads(monkeypatch) as blas:
+        jobs = record_worker_jobs(monkeypatch)
+        with ad.no_grad():
+            with one_blas_thread(blas):
+                want = m.forward(mag).data
+            with ad.row_threads():
+                got = m.forward(mag).data
+    assert len(jobs) > 10
+    np.testing.assert_array_equal(got, want, strict=True)
 
 
 def test_eval_dense_layer_never_builds_its_halo_map(monkeypatch):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from stemsep import autodiff as ad
 from stemsep import dsp, separation
 from stemsep.arch import default_arch, toy_arch
 from stemsep.model import build_model
@@ -15,6 +16,7 @@ from stemsep.separation import (
     separate_track,
     soft_mask,
 )
+from threads import one_blas_thread, record_worker_jobs, two_blas_threads
 
 
 # ---------------------------------------------------------------------------
@@ -363,3 +365,27 @@ def test_separate_track_takes_fft_size_and_rate_from_the_model():
     for est in out.values():
         assert est.samples.shape == clip.samples.shape
         assert est.sample_rate == 8000
+
+
+def test_separation_is_reproducible_with_row_threads(monkeypatch):
+    """Criterion 10 with threads on: separate_track, its forwards split
+    across two threads, gives bitwise the same stems twice, and those of
+    the sequential forwards at one BLAS thread; BLAS gets its two
+    threads back."""
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", 4 << 10)
+    rng = np.random.default_rng(10)
+    clip = dsp.AudioClip(0.1 * rng.standard_normal((2, 4000)), sample_rate=8000)
+    models = {"vocals": build_model(toy_arch(), seed=11), "drums": build_model(toy_arch(), seed=12)}
+    with two_blas_threads(monkeypatch) as blas:
+        jobs = record_worker_jobs(monkeypatch)
+        runs = [separate_track(models, clip) for _ in range(2)]
+        assert jobs and blas[0]() == 2
+        split = len(jobs)
+        monkeypatch.setattr(ad, "_blas_threads", lambda: None)
+        with one_blas_thread(blas):
+            runs.append(separate_track(models, clip))
+        assert len(jobs) == split
+    assert sorted(runs[0]) == ["accompaniment", "drums", "vocals"]
+    for run in runs[1:]:
+        for name, stem in run.items():
+            np.testing.assert_array_equal(stem.samples, runs[0][name].samples, strict=True)

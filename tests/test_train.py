@@ -8,6 +8,7 @@ from stemsep import autodiff as ad
 from stemsep import dsp
 from stemsep.arch import toy_arch
 from stemsep.model import build_model
+from stemsep.separation import separate_track
 from stemsep.train import (
     AdamState,
     TrainConfig,
@@ -23,6 +24,7 @@ from stemsep.train import (
     train,
     train_step,
 )
+from threads import fake_blas, record_worker_jobs
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +225,30 @@ def test_loss_decreases_on_fixed_batch(toy_dir):
     state = AdamState(alpha=1e-4)
     losses = [train_step(model, batch, state) for _ in range(10)]
     assert all(b < a for a, b in zip(losses, losses[1:]))
+
+
+def test_train_step_takes_the_sequential_path(toy_dir, monkeypatch):
+    """Training opens no row_threads scope: once a separation has made
+    the row worker, a train step gives it no job, leaves the BLAS thread
+    count alone, and is bitwise the train step before the separation."""
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", 4 << 10)
+    counts = fake_blas(monkeypatch)
+    jobs = record_worker_jobs(monkeypatch)
+    clips = load_track(os.path.join(toy_dir, "track00"))
+    batch = [make_excerpt(clips["mixture"], clips["vocals"], 0, 16, fft_size=256)]
+    steps = []
+    for separate_first in (False, True):
+        model = build_model(toy_arch(), seed=3)
+        if separate_first:
+            separate_track({"vocals": model}, clips["mixture"])
+            assert jobs and counts == [2, 1, 2]
+        split = len(jobs)
+        loss = train_step(model, batch, AdamState())
+        assert len(jobs) == split and counts[-1] == 2 and len(counts) == 1 + 2 * separate_first
+        steps.append([loss] + [p.data.copy() for _, p in model.named_params()])
+    assert steps[0][0] == steps[1][0]
+    for a, b in zip(*steps):
+        np.testing.assert_array_equal(a, b, strict=True)
 
 
 def test_train_zero_lr_keeps_params(toy_dir):
