@@ -11,7 +11,8 @@ average pooling, stride-2 transposed convolution, affine maps,
 concatenation, slicing and the usual elementwise/reduction glue. Each
 operation records a backward closure; `Tensor.backward()` runs a
 reverse topological sweep. Inside `row_threads`, each conv forward
-splits its row blocks between the caller and one worker thread.
+splits its row blocks between the caller and one worker thread
+(`second_thread`); conv2d's backward runs one block of rows at a time.
 
 Conventions:
   * feature maps are (channels, frequency, time), row-major
@@ -35,6 +36,7 @@ __all__ = [
     "ShapeError",
     "no_grad",
     "row_threads",
+    "second_thread",
     "constant",
     "parameter",
     "add",
@@ -122,36 +124,49 @@ def _row_worker():
 
 
 @contextlib.contextmanager
-def row_threads():
-    """Run the conv2d forwards inside the scope on two threads: each one
-    with two or more row blocks gives those past the first half of its
-    rows to one persistent worker thread and runs the others. BLAS is set
-    to one thread for the scope and reset on exit, so the two threads
-    use two cores. The split is at block boundaries, so each GEMM has
-    its sequential shape and the output does not depend on timing: it
-    is bitwise equal to the sequential forward at one BLAS thread.
-
-    Like no_grad, the scope is process-wide. It runs the sequential path
-    when BLAS offers no thread control (_blas_threads), BLAS has one
-    thread (OPENBLAS_NUM_THREADS=1, or a scope is already open), or this
-    process may use one core. The worker and the BLAS handle are made at
-    the first scope that uses them. Training runs outside any scope: on
-    its 16-frame excerpts the split of the forward gained nothing, and
-    the backward would run at one BLAS thread."""
-    global _worker
+def second_thread():
+    """The persistent worker thread, with BLAS at one thread until the
+    scope ends, so that it and the caller use two cores; None, with BLAS
+    untouched, when BLAS offers no thread control (_blas_threads), has
+    one thread (OPENBLAS_NUM_THREADS=1, or a scope is already open), or
+    this process may use one core. The worker and the BLAS handle are
+    made at the first scope that uses them. row_threads and
+    train.train_step run their second halves on it."""
     blas = _blas_threads()
     threads = blas[0]() if blas is not None else 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if threads < 2 or (cores or 1) < 2:
-        yield
+        yield None
         return
     blas[1](1)
-    _worker = _row_worker()
     try:
-        yield
+        yield _row_worker()
     finally:
-        _worker = None
         blas[1](threads)
+
+
+@contextlib.contextmanager
+def row_threads():
+    """Run the conv2d forwards inside the scope on two threads
+    (second_thread): each one with two or more row blocks gives those
+    past the first half of its rows to the worker thread and runs the
+    others. The split is at block boundaries, so each GEMM has its
+    sequential shape and the output does not depend on timing: it is
+    bitwise equal to the sequential forward at one BLAS thread.
+
+    Like no_grad, the scope is process-wide. Where second_thread gives
+    no worker, the sequential path runs. Training opens no scope: its
+    step splits its excerpts across the two threads instead."""
+    global _worker
+    with second_thread() as worker:
+        if worker is None:
+            yield
+            return
+        _worker = worker
+        try:
+            yield
+        finally:
+            _worker = None
 
 
 class Tensor:
@@ -405,6 +420,13 @@ def affine(x, weight, bias):
 CONV_TILE_BYTES = 4 << 20  # size of the tap array of one row block in conv2d's forward
 
 
+def _block_rows(w9_rows, kh, t, itemsize):
+    """Output rows per block of a conv whose tap-major kernel has w9_rows
+    rows: the forward's tap array of the block's rows plus kh - 1 stays
+    near CONV_TILE_BYTES."""
+    return max(1, CONV_TILE_BYTES // (w9_rows * max(t, 1) * itemsize) - (kh - 1))
+
+
 def _channel_parts(x):
     """x, a (c, f, t) tensor or a list of (c_i, f, t) tensors that stack
     along channels, as (parts, offsets): parts[i] holds channels
@@ -506,7 +528,7 @@ def _conv_forward(reader, w, bias, out):
     c_out, c_in, kh, kw = w.shape
     _, fo, t = out.shape
     w9 = w.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
-    rows = max(1, CONV_TILE_BYTES // (w9.shape[0] * max(t, 1) * out.itemsize) - (kh - 1))
+    rows = _block_rows(w9.shape[0], kh, t, out.itemsize)
 
     def run(starts, read_rows, tap_buffer):
         finite = True
@@ -554,39 +576,61 @@ def _tap_span(s, n, m):
 
 def _conv_backward(g, xd, weight, bias, need_gx):
     """conv2d's backward for the output gradient g and the input map xd:
-    two GEMMs over one tap-shifted gradient (convolution as a few large
-    GEMMs, Chellapilla, Puri & Simard 2006). `shifted` is a zero
-    (kh*kw*c_out, f*t) array whose row block (di, dj) holds g where that
-    tap's input sits: g's flattened rows shifted by (di - kh // 2) * t +
-    dj - kw // 2, clipped at the ends, with the wrapping columns zeroed
-    (_zero_wraps); a 1x1 kernel's one tap reads g itself. The weight
-    gradient shifted @ xd.T and the bias gradient are accumulated; the
-    input gradient w9.T @ shifted, w9 the (kh*kw*c_out, c_in) tap-major
-    kernel, is returned when need_gx (else None)."""
+    two GEMMs over the tap-shifted gradient per block of rows (convolution
+    as a few large GEMMs, Chellapilla, Puri & Simard 2006). The shifted
+    gradient is a (kh*kw*c_out, f*t) array whose row block (di, dj) holds
+    g where that tap's input sits: g's flattened rows shifted by
+    (di - kh // 2) * t + dj - kw // 2, zero past the ends, with the
+    wrapping columns zeroed (_zero_wraps). It is never whole: the columns
+    of one block of rows are built in one reused tile, as many rows as a
+    forward block (_block_rows), and a 1x1 kernel's one tap reads g
+    itself (Pleiss et al. 2017, arXiv:1707.06990). The input gradient
+    w9.T @ shifted, w9 the (kh*kw*c_out, c_in) tap-major kernel, is
+    written block by block and returned when need_gx (else None). That
+    column split of the one GEMM is bitwise the whole GEMM with numpy's
+    OpenBLAS when t is a multiple of 16, as at the top scale of 16-frame
+    training excerpts; at other widths its edge kernels may round a
+    column differently. The weight gradient, summed over the blocks of
+    shifted @ xd.T, and the bias gradient are accumulated."""
     c_out, c_in, kh, kw = weight.shape
     _, f, t = xd.shape
-    gx = None
-    if need_gx or weight.requires_grad:
-        if kh == kw == 1:
-            shifted = np.ascontiguousarray(g).reshape(c_out, f * t)
-        else:
-            shifted = np.zeros((kh, kw, c_out, f * t), dtype=g.dtype)
-            g2 = g.reshape(c_out, f * t)
-            for di in range(kh):
-                for dj in range(kw):
-                    dst, src = _tap_span((di - kh // 2) * t + dj - kw // 2, f * t, f * t)
-                    shifted[di, dj, :, dst] = g2[:, src]
-            _zero_wraps(shifted.reshape(kh, kw, c_out, f, t))
-            shifted = shifted.reshape(kh * kw * c_out, f * t)
-        if need_gx:
-            w9 = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
-            gx = (w9.T @ shifted).reshape(c_in, f, t)
-        if weight.requires_grad:
-            gw = shifted @ xd.reshape(c_in, f * t).T
-            weight._accumulate(gw.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
     if bias.requires_grad:
         bias._accumulate(g.sum(axis=(1, 2)))
-    return gx
+    if not (need_gx or weight.requires_grad):
+        return None
+    k = kh * kw * c_out
+    w9 = weight.data.transpose(2, 3, 0, 1).reshape(k, c_in)
+    g2 = g.reshape(c_out, f * t)
+    one_tap = kh == kw == 1
+    rows = max(f, 1) if one_tap else _block_rows(k, kh, t, g.itemsize)
+    tile = None if one_tap else np.empty(k * min(rows, f) * t, dtype=g.dtype)
+    gx = np.empty((c_in, f * t), dtype=np.result_type(w9, g)) if need_gx else None
+    if weight.requires_grad:
+        x2 = xd.reshape(c_in, f * t)
+        gw = np.zeros((k, c_in), dtype=np.result_type(x2, g))
+    for r0 in range(0, f, rows):
+        n = min(rows, f - r0)
+        cols = slice(r0 * t, (r0 + n) * t)
+        if one_tap:
+            shifted = g2[:, cols]
+        else:
+            shifted = tile[:k * n * t].reshape(kh, kw, c_out, n * t)
+            for di in range(kh):
+                for dj in range(kw):
+                    s = (di - kh // 2) * t + dj - kw // 2 - cols.start
+                    dst, src = _tap_span(s, n * t, f * t)
+                    shifted[di, dj, :, :dst.start] = 0
+                    shifted[di, dj, :, dst] = g2[:, src]
+                    shifted[di, dj, :, dst.stop:] = 0
+            _zero_wraps(shifted.reshape(kh, kw, c_out, n, t))
+            shifted = shifted.reshape(k, n * t)
+        if need_gx:
+            np.matmul(w9.T, shifted, out=gx[:, cols])
+        if weight.requires_grad:
+            gw += shifted @ x2[:, cols].T
+    if weight.requires_grad:
+        weight._accumulate(gw.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
+    return gx.reshape(c_in, f, t) if need_gx else None
 
 
 def conv2d(x, weight, bias, out=None):

@@ -45,6 +45,12 @@ class Module:
         for cname, child in self._children.items():
             yield from child.named_params(prefix + cname + ".")
 
+    def modules(self):
+        """This module and every module under it, depth first."""
+        yield self
+        for child in self._children.values():
+            yield from child.modules()
+
     def named_buffers(self, prefix=""):
         for name, b in self._buffers.items():
             yield prefix + name, b
@@ -109,10 +115,11 @@ class BatchNorm2d(Module):
     """A dense layer's batch-norm parameters (gamma, beta) and running
     statistics. DenseLayer applies them, with its ReLU and conv, through
     autodiff.batch_norm_relu_conv2d, and in training folds each batch's
-    statistics into the running ones with weight `momentum`.
+    statistics into the running ones (fold).
     """
 
     momentum = 0.1  # weight of the batch statistics in the running ones
+    deferred = None  # a list on a training replica (train.train_step): see fold
 
     def __init__(self, channels):
         super().__init__()
@@ -120,6 +127,21 @@ class BatchNorm2d(Module):
         self.beta = self.add_param("beta", np.zeros(channels, dtype=DEFAULT_DTYPE))
         self.add_buffer("running_mean", np.zeros(channels, dtype=DEFAULT_DTYPE))
         self.add_buffer("running_var", np.ones(channels, dtype=DEFAULT_DTYPE))
+
+    def fold(self, mean, var):
+        """running = (1 - momentum) * running + momentum * batch, in place,
+        for the running mean and variance. When deferred is a list, the
+        fold is appended to it as a callable instead, to be run later."""
+        def run():
+            for name, batch in (("running_mean", mean), ("running_var", var)):
+                running = self._buffers[name]
+                running *= 1.0 - self.momentum
+                running += self.momentum * batch
+
+        if self.deferred is None:
+            run()
+        else:
+            self.deferred.append(run)
 
 
 class Linear(Module):

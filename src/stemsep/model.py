@@ -65,9 +65,7 @@ class DenseLayer(Module):
             x, bn.gamma, bn.beta, self.conv.weight, self.conv.bias,
             None if self.training else stats, out)
         if self.training:
-            for running, batch in zip(stats, (mean, var)):
-                running *= 1.0 - bn.momentum
-                running += bn.momentum * batch
+            bn.fold(mean, var)
         return y
 
 

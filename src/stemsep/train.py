@@ -9,14 +9,17 @@ reproducible given (seed, config, dataset).
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import os
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .dsp import DEFAULT_FFT_SIZE, AudioClip, hop_size, read_wav, stft, write_wav
+from .layers import BatchNorm2d
 from .separation import SOURCE_NAMES, normalize_magnitude
 
 
@@ -195,23 +198,88 @@ def build_excerpts(track_dirs, config: TrainConfig, rng, fft_size):
     return excerpts
 
 
-def train_step(model, batch, state: AdamState):
-    """forward -> loss -> backward -> Adam over one list of excerpts,
-    averaging gradients across the excerpts. Returns the mean loss."""
-    model.set_training(True)
-    model.zero_grad()
+def _run_excerpts(model, excerpts, n, step):
+    """forward -> loss -> backward of each excerpt in turn, each loss
+    scaled by 1 / n into the gradients; returns the losses."""
     losses = []
-    for mix_mag, tgt_mag in batch:
+    for mix_mag, tgt_mag in excerpts:
         pred = model.forward(mix_mag)
         loss = mse_loss(pred, ad.constant(tgt_mag))
         if not np.isfinite(loss.data):
-            raise TrainError(
-                "non-finite loss %r at step %d" % (float(loss.data), state.step + 1)
-            )
-        ad.scale(loss, 1.0 / len(batch)).backward()
+            raise TrainError("non-finite loss %r at step %d" % (float(loss.data), step))
+        ad.scale(loss, 1.0 / n).backward()
         losses.append(float(loss.data))
+    return losses
+
+
+_replicas = weakref.WeakKeyDictionary()  # model -> the replica its split steps run on
+
+
+def _replica(model):
+    """model's training replica, made at its first split step: a copy
+    whose parameter tensors hold the model's arrays and gather their own
+    gradients, and whose batch norms read and write the model's running
+    statistics but defer their folds to replica.folds. The arrays are
+    bound again at every step, since load_checkpoint and astype replace
+    them."""
+    replica = _replicas.get(model)
+    if replica is None:
+        memo = {id(model.spec): model.spec}
+        memo.update((id(p.data), p.data) for _, p in model.named_params())
+        replica = _replicas[model] = copy.deepcopy(model, memo)
+        replica.folds = []
+        for module in replica.modules():
+            if isinstance(module, BatchNorm2d):
+                module.deferred = replica.folds
+    replica.folds.clear()
+    replica.set_training(True)
+    for r, m in zip(replica.modules(), model.modules()):
+        for name, p in m._params.items():
+            r._params[name].data, r._params[name].grad = p.data, None
+        r._buffers.update(m._buffers)
+    return replica
+
+
+def train_step(model, batch, state: AdamState):
+    """forward -> loss -> backward -> Adam over one list of excerpts,
+    averaging gradients across the excerpts. Returns the mean loss.
+
+    With two or more excerpts, the excerpts past the first half run on
+    autodiff's worker thread (second_thread, BLAS at one thread) against
+    the model's replica (_replica) while the caller runs the first half
+    against the model. Once both are done, the replica's gradients are
+    added into the model's and its batch-norm folds run after the
+    model's own, so the running statistics, like the losses, are bitwise
+    those of the sequential loop; the gradients differ from its by
+    rounding, as the halves are summed apart. A failure in either half
+    is raised once both are done, as the error the sequential loop would
+    raise first. The sequential loop runs where second_thread gives no
+    worker (inside row_threads among others) and for one excerpt.
+    """
+    model.set_training(True)
+    model.zero_grad()
+    step = state.step + 1
+    with ad.second_thread() if len(batch) > 1 else contextlib.nullcontext() as worker:
+        if worker is None:
+            losses = _run_excerpts(model, batch, len(batch), step)
+        else:
+            half = (len(batch) + 1) // 2
+            replica = _replica(model)
+            future = worker.submit(_run_excerpts, replica, batch[half:], len(batch), step)
+            try:
+                losses = _run_excerpts(model, batch[:half], len(batch), step)
+            finally:
+                future.exception()  # waits for the worker's half
+            for (_, r), (_, p) in zip(replica.named_params(), model.named_params()):
+                if r.grad is not None:
+                    p._accumulate(r.grad, fresh=True)
+                    r.grad = None
+            for fold in replica.folds:
+                fold()
+            losses += future.result()
+        loss = float(np.mean(losses))
     adam_step(dict(model.named_params()), state)
-    return float(np.mean(losses))
+    return loss
 
 
 def train(model, dataset_dir, config: TrainConfig):

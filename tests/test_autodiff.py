@@ -412,6 +412,82 @@ def test_conv2d_narrower_than_kernel_matches_nested_loop_oracle(monkeypatch, kh,
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+def conv_backward_whole(g, xd, w):
+    """conv2d's backward with the whole tap-shifted gradient, as it was
+    before the row blocks: (gx, gw, gb) from one (kh*kw*c_out, f*t)
+    array whose row block (di, dj) holds g's flattened rows shifted by
+    (di - kh // 2) * t + dj - kw // 2, and two GEMMs over it."""
+    c_out, c_in, kh, kw = w.shape
+    _, f, t = xd.shape
+    if kh == kw == 1:
+        shifted = np.ascontiguousarray(g).reshape(c_out, f * t)
+    else:
+        shifted = np.zeros((kh, kw, c_out, f * t), dtype=g.dtype)
+        g2 = g.reshape(c_out, f * t)
+        for di in range(kh):
+            for dj in range(kw):
+                dst, src = ad._tap_span((di - kh // 2) * t + dj - kw // 2, f * t, f * t)
+                shifted[di, dj, :, dst] = g2[:, src]
+        ad._zero_wraps(shifted.reshape(kh, kw, c_out, f, t))
+        shifted = shifted.reshape(kh * kw * c_out, f * t)
+    w9 = w.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
+    gx = (w9.T @ shifted).reshape(c_in, f, t)
+    gw = shifted @ xd.reshape(c_in, f * t).T
+    return gx, gw.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1), g.sum(axis=(1, 2))
+
+
+GRAD_RTOL = {np.float32: 1e-4, np.float64: 1e-12}  # of the largest |gradient|, blocked vs whole
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kh, kw", [(1, 1), (1, 3), (3, 3)])
+@pytest.mark.parametrize("f", [1, 2, 7])
+@pytest.mark.parametrize("rows", [1, 2, 3, None])
+def test_conv2d_backward_row_blocks_match_whole_oracle(monkeypatch, dtype, kh, kw, f, rows):
+    """The backward in blocks of `rows` rows (None: the default tile, one
+    block) against the whole tap-shifted gradient: 1, 2 and 3 or more
+    blocks over maps of 1, 2 and 7 rows; a 1x1 kernel reads g in one
+    block. The input gradient, a column split of the oracle's GEMM at 16
+    columns, is bitwise equal; the weight gradient, summed over the
+    blocks, is within GRAD_RTOL of the largest gradient."""
+    c_in, c_out, t = 3, 2, 16
+    if rows is not None:
+        monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(c_out, kh, kw, t, dtype, rows))
+        assert ad._block_rows(kh * kw * c_out, kh, t, np.dtype(dtype).itemsize) == rows
+    rng = np.random.default_rng(60 + f)
+    xd = rand(rng, c_in, f, t).astype(dtype)
+    x, w = ad.parameter(xd), ad.parameter(rand(rng, c_out, c_in, kh, kw).astype(dtype))
+    b = ad.parameter(rand(rng, c_out).astype(dtype))
+    g = rand(rng, c_out, f, t).astype(dtype)
+    ad.conv2d(x, w, b)._backward(g)
+    gx, gw, gb = conv_backward_whole(g, xd, w.data)
+    assert x.grad.dtype == w.grad.dtype == dtype
+    np.testing.assert_array_equal(x.grad, gx, strict=True)
+    atol = GRAD_RTOL[dtype] * max(np.abs(a).max() for a in (gx, gw, gb))
+    np.testing.assert_allclose(w.grad, gw, rtol=0, atol=atol)
+    np.testing.assert_allclose(b.grad, gb, rtol=0, atol=atol)
+
+
+def test_conv2d_backward_builds_no_whole_shifted_gradient():
+    """The backward of a final-block-sized conv2d, (35, 2049, 16) fp64
+    in and 12 maps out, allocates at its peak under 16 MiB: the 9.2 MiB
+    input gradient and one row tile of the tap-shifted gradient, whose
+    whole (27 MiB) the backward never builds."""
+    rng = np.random.default_rng(64)
+    x = ad.parameter(rand(rng, 35, 2049, 16))
+    w, b = ad.parameter(0.1 * rand(rng, 12, 35, 3, 3)), ad.parameter(rand(rng, 12))
+    y = ad.conv2d(x, w, b)
+    g = rand(rng, 12, 2049, 16)
+    tracemalloc.start()
+    try:
+        y._backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    assert peak < 16 << 20, peak / 2**20
+
+
 def test_conv2d_on_a_map_without_columns():
     """A (c, f, 0) map gives an empty output and empty gradients."""
     x = ad.parameter(np.ones((2, 4, 0)))

@@ -1,4 +1,8 @@
+import contextlib
+import dataclasses
 import os
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +11,8 @@ from gradcheck import grad_check
 from stemsep import autodiff as ad
 from stemsep import dsp
 from stemsep.arch import toy_arch
-from stemsep.model import build_model
+from stemsep import train as train_mod
+from stemsep.model import build_model, load_checkpoint, save_checkpoint
 from stemsep.separation import separate_track
 from stemsep.train import (
     AdamState,
@@ -24,7 +29,7 @@ from stemsep.train import (
     train,
     train_step,
 )
-from threads import fake_blas, record_worker_jobs
+from threads import fake_blas, one_blas_thread, record_worker_jobs, two_blas_threads
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +233,9 @@ def test_loss_decreases_on_fixed_batch(toy_dir):
 
 
 def test_train_step_takes_the_sequential_path(toy_dir, monkeypatch):
-    """Training opens no row_threads scope: once a separation has made
-    the row worker, a train step gives it no job, leaves the BLAS thread
-    count alone, and is bitwise the train step before the separation."""
+    """A one-excerpt step runs on the caller alone: once a separation has
+    made the row worker, the step gives it no job, leaves the BLAS
+    thread count alone, and is bitwise the step before the separation."""
     monkeypatch.setattr(ad, "CONV_TILE_BYTES", 4 << 10)
     counts = fake_blas(monkeypatch)
     jobs = record_worker_jobs(monkeypatch)
@@ -248,6 +253,185 @@ def test_train_step_takes_the_sequential_path(toy_dir, monkeypatch):
         steps.append([loss] + [p.data.copy() for _, p in model.named_params()])
     assert steps[0][0] == steps[1][0]
     for a, b in zip(*steps):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+def toy_batch(toy_dir, n):
+    """n 16-frame excerpts of the toy tracks, at different starts."""
+    excerpts = []
+    for i in range(n):
+        clips = load_track(os.path.join(toy_dir, "track%02d" % (i % 2)))
+        excerpts.append(make_excerpt(clips["mixture"], clips["vocals"], 7 * i, 16, fft_size=256))
+    return excerpts
+
+
+def step_record(monkeypatch, model, batch):
+    """One train_step of model on batch: (loss, the gradients Adam was
+    given, the BN buffers after the step)."""
+    grads = []
+    real_adam = train_mod.adam_step
+
+    def adam(params, state):
+        grads.extend(p.grad.copy() for p in params.values())
+        real_adam(params, state)
+
+    monkeypatch.setattr(train_mod, "adam_step", adam)
+    loss = train_step(model, batch, AdamState())
+    monkeypatch.setattr(train_mod, "adam_step", real_adam)
+    return loss, grads, [b.copy() for _, b in model.named_buffers()]
+
+
+GRAD_RTOL = {np.float32: 1e-4, np.float64: 1e-12}  # of the largest |gradient|, split vs sequential
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["Sa", "Sb", "P"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_split_step_matches_the_sequential_loop(toy_dir, monkeypatch, n, mode, dtype):
+    """A step of n excerpts split across two threads, the worker taking
+    the last n // 2, against the sequential loop at one BLAS thread: the
+    loss and every BN running mean and variance bitwise, every gradient
+    within GRAD_RTOL of the largest one."""
+    batch = toy_batch(toy_dir, n)
+    spec = dataclasses.replace(toy_arch(), mode=mode)
+    runs = []
+    with two_blas_threads(monkeypatch) as blas:
+        jobs = record_worker_jobs(monkeypatch)
+        for split in (False, True):
+            model = build_model(spec, seed=11).astype(dtype)
+            if split:
+                runs.append(step_record(monkeypatch, model, batch))
+            else:
+                with one_blas_thread(blas):
+                    runs.append(step_record(monkeypatch, model, batch))
+            assert len(jobs) == split
+    (want_loss, want_grads, want_stats), (loss, grads, stats) = runs
+    assert loss == want_loss
+    for got, want in zip(stats, want_stats):
+        np.testing.assert_array_equal(got, want, strict=True)
+    atol = GRAD_RTOL[dtype] * max(np.abs(g).max() for g in want_grads)
+    assert len(grads) == len(want_grads)
+    for got, want in zip(grads, want_grads):
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+def test_split_training_is_bitwise_reproducible(toy_dir, monkeypatch):
+    """Criterion 10 with the split: two training runs of 3 excerpts per
+    step give bitwise-equal loss traces and parameters."""
+    fake_blas(monkeypatch)
+    jobs = record_worker_jobs(monkeypatch)
+    results = []
+    for _ in range(2):
+        model = build_model(toy_arch(), seed=2)
+        trace = train(model, toy_dir, toy_config(seed=5, steps_per_epoch=3, excerpts_per_step=3))
+        results.append((trace, [p.data.copy() for _, p in model.named_params()]))
+    assert len(jobs) == 6
+    assert results[0][0] == results[1][0]
+    for a, b in zip(results[0][1], results[1][1]):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+def test_split_steps_stay_bitwise_under_frequent_thread_switches(toy_dir, monkeypatch):
+    """30 split steps with the interpreter switching threads every
+    microsecond give the loss trace and parameters of the same steps at
+    the default switch interval."""
+    fake_blas(monkeypatch)
+    batch = toy_batch(toy_dir, 2)
+    runs = []
+    for interval in (sys.getswitchinterval(), 1e-6):
+        model, state = build_model(toy_arch(), seed=6), AdamState()
+        before = sys.getswitchinterval()
+        sys.setswitchinterval(interval)
+        try:
+            losses = [train_step(model, batch, state) for _ in range(30)]
+        finally:
+            sys.setswitchinterval(before)
+        runs.append((losses, [p.data.copy() for _, p in model.named_params()]))
+    assert runs[0][0] == runs[1][0]
+    for a, b in zip(runs[0][1], runs[1][1]):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+@pytest.mark.parametrize("case", ["no BLAS control", "1 BLAS thread", "1 core", "batch 1",
+                                  "inside row_threads"])
+def test_train_step_falls_back_to_the_sequential_loop(toy_dir, monkeypatch, case):
+    """Where the worker cannot use a second core, or there is one
+    excerpt, the step gives the worker no job and leaves the BLAS thread
+    count as it found it."""
+    counts = fake_blas(monkeypatch, threads=1 if case == "1 BLAS thread" else 2)
+    jobs = record_worker_jobs(monkeypatch)
+    if case == "no BLAS control":
+        monkeypatch.setattr(ad, "_blas_threads", lambda: None)
+    if case == "1 core":
+        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    batch = toy_batch(toy_dir, 1 if case == "batch 1" else 2)
+    model = build_model(toy_arch(), seed=8)
+    with ad.row_threads() if case == "inside row_threads" else contextlib.nullcontext():
+        before = list(counts)
+        train_step(model, batch, AdamState())
+        assert counts == before
+    assert jobs == []
+
+
+@pytest.mark.parametrize("bad", [0, 3])
+def test_split_step_raises_the_sequential_error_after_both_halves(toy_dir, monkeypatch, bad):
+    """A non-finite excerpt in the caller's half (0) or the worker's (3)
+    of 4: the split step raises the error the sequential loop raises,
+    once the worker's half has finished, with BLAS back at two threads,
+    and leaves the running statistics as the sequential loop does. In
+    the caller's case the worker's half fails too, with another error,
+    which is not the one raised; it is slowed so that it ends last."""
+    batch = toy_batch(toy_dir, 4)
+    batch[bad] = (np.full_like(batch[bad][0], np.nan), batch[bad][1])
+    if bad == 0:
+        batch[2] = (batch[2][0], batch[2][1][:, :-1])  # a target of the wrong shape
+    counts = fake_blas(monkeypatch, threads=1)
+    model = build_model(toy_arch(), seed=9)
+    with pytest.raises(ad.NumericError, match="model input") as want:
+        train_step(model, batch, AdamState())
+    want_stats = [b.copy() for _, b in model.named_buffers()]
+
+    counts.append(2)
+    events = []
+    worker = ad._row_worker()
+
+    class Slow:
+        def submit(self, fn, *args):
+            def job():
+                time.sleep(0.2 if bad == 0 else 0)
+                try:
+                    return fn(*args)
+                finally:
+                    events.append("worker done")
+
+            return worker.submit(job)
+
+    monkeypatch.setattr(ad, "_row_worker", Slow)
+    model = build_model(toy_arch(), seed=9)
+    with pytest.raises(ad.NumericError, match="model input") as got:
+        train_step(model, batch, AdamState())
+    assert events == ["worker done"] and counts == [1, 2, 1, 2]
+    assert str(got.value) == str(want.value)
+    for a, (_, b) in zip(want_stats, model.named_buffers()):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+def test_split_step_after_load_checkpoint_uses_the_loaded_weights(toy_dir, monkeypatch, tmp_path):
+    """Loading a checkpoint into a model that has taken split steps
+    replaces its parameter arrays; the next split step runs both halves
+    on the loaded ones, bitwise as a fresh model of those weights."""
+    fake_blas(monkeypatch)
+    batch = toy_batch(toy_dir, 2)
+    source = build_model(toy_arch(), seed=12)
+    save_checkpoint(tmp_path / "w.ckpt", source)
+    model = build_model(toy_arch(), seed=13)
+    train_step(model, batch, AdamState())
+    load_checkpoint(tmp_path / "w.ckpt", model)
+    runs = [(train_step(m, batch, AdamState()), [p.data.copy() for _, p in m.named_params()])
+            for m in (model, source)]
+    assert runs[0][0] == runs[1][0]
+    for a, b in zip(runs[0][1], runs[1][1]):
         np.testing.assert_array_equal(a, b, strict=True)
 
 
