@@ -30,7 +30,7 @@ from .model import (
     save_checkpoint,
 )
 from .separation import SOURCE_NAMES, SeparationError, separate_track
-from .train import TrainConfig, TrainError, make_toy_dataset
+from .train import ExcerptError, TrainConfig, TrainError, make_toy_dataset
 
 
 class UsageError(Exception):
@@ -297,7 +297,7 @@ _ERROR_CODES = (
     ((UsageError,), "usage", 2),
     ((FileNotFoundError, NotADirectoryError, InputError), "input", 3),
     ((ConfigError, CheckpointError, TrainError), "config", 4),
-    ((SeparationError, KeyError, ValueError, ArithmeticError), "data", 5),
+    ((SeparationError, ExcerptError, KeyError, ValueError, ArithmeticError), "data", 5),
 )
 
 

@@ -119,7 +119,6 @@ class BatchNorm2d(Module):
     """
 
     momentum = 0.1  # weight of the batch statistics in the running ones
-    deferred = None  # a list on a training replica (train.train_step): see fold
 
     def __init__(self, channels):
         super().__init__()
@@ -130,18 +129,13 @@ class BatchNorm2d(Module):
 
     def fold(self, mean, var):
         """running = (1 - momentum) * running + momentum * batch, in place,
-        for the running mean and variance. When deferred is a list, the
-        fold is appended to it as a callable instead, to be run later."""
-        def run():
-            for name, batch in (("running_mean", mean), ("running_var", var)):
-                running = self._buffers[name]
-                running *= 1.0 - self.momentum
-                running += self.momentum * batch
-
-        if self.deferred is None:
-            run()
-        else:
-            self.deferred.append(run)
+        for the running mean and variance. A training replica shadows it
+        on its own instances to record the fold for the model's batch norm
+        (train._replica)."""
+        for name, batch in (("running_mean", mean), ("running_var", var)):
+            running = self._buffers[name]
+            running *= 1.0 - self.momentum
+            running += self.momentum * batch
 
 
 class Linear(Module):

@@ -12,19 +12,22 @@ import contextlib
 import copy
 import csv
 import os
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .dsp import DEFAULT_FFT_SIZE, AudioClip, hop_size, read_wav, stft, write_wav
+from .dsp import DEFAULT_FFT_SIZE, AudioClip, InputError, hop_size, read_wav, stft, write_wav
 from .layers import BatchNorm2d
 from .separation import SOURCE_NAMES, normalize_magnitude
 
 
 class TrainError(RuntimeError):
     pass
+
+
+class ExcerptError(ValueError):
+    """A dataset track too short for the excerpts training cuts from it."""
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +125,19 @@ def list_tracks(root):
         if os.path.isfile(os.path.join(root, d, "mixture.wav"))
     )
     if not tracks:
-        raise TrainError("no track directories with mixture.wav under %r" % root)
+        raise InputError("no track directories with mixture.wav under %r" % root)
     return [os.path.join(root, d) for d in tracks]
 
 
-def load_track(track_dir, sources=SOURCE_NAMES):
+def load_track(track_dir):
     """Load mixture.wav plus whichever source stems exist."""
     clips = {"mixture": read_wav(os.path.join(track_dir, "mixture.wav"))}
-    for name in sources:
+    for name in SOURCE_NAMES:
         path = os.path.join(track_dir, name + ".wav")
         if os.path.isfile(path):
             clips[name] = read_wav(path)
     if len(clips) == 1:
-        raise TrainError("track %r has no source stems" % track_dir)
+        raise InputError("track %r has no source stems" % track_dir)
     return clips
 
 
@@ -180,7 +183,7 @@ def build_excerpts(track_dirs, config: TrainConfig, rng, fft_size):
         track_dir = track_dirs[i % len(track_dirs)]
         clips = load_track(track_dir)
         if config.source not in clips:
-            raise TrainError("track %r lacks %s.wav" % (track_dir, config.source))
+            raise InputError("track %r lacks %s.wav" % (track_dir, config.source))
         if config.augment:
             sources = {k: v for k, v in clips.items() if k != "mixture"}
             mixture, sources = augment(sources, rng.integers(2 ** 32))
@@ -190,8 +193,8 @@ def build_excerpts(track_dirs, config: TrainConfig, rng, fft_size):
         max_start = (mixture.num_samples - fft_size) // hop \
             - config.frames_per_excerpt
         if max_start < 0:
-            raise TrainError("track %r too short for %d-frame excerpts"
-                             % (track_dir, config.frames_per_excerpt))
+            raise ExcerptError("track %r too short for %d-frame excerpts"
+                               % (track_dir, config.frames_per_excerpt))
         start = int(rng.integers(0, max_start + 1))
         excerpts.append(make_excerpt(mixture, target, start,
                                      config.frames_per_excerpt, fft_size))
@@ -212,31 +215,19 @@ def _run_excerpts(model, excerpts, n, step):
     return losses
 
 
-_replicas = weakref.WeakKeyDictionary()  # model -> the replica its split steps run on
-
-
-def _replica(model):
-    """model's training replica, made at its first split step: a copy
-    whose parameter tensors hold the model's arrays and gather their own
-    gradients, and whose batch norms read and write the model's running
-    statistics but defer their folds to replica.folds. The arrays are
-    bound again at every step, since load_checkpoint and astype replace
-    them."""
-    replica = _replicas.get(model)
-    if replica is None:
-        memo = {id(model.spec): model.spec}
-        memo.update((id(p.data), p.data) for _, p in model.named_params())
-        replica = _replicas[model] = copy.deepcopy(model, memo)
-        replica.folds = []
-        for module in replica.modules():
-            if isinstance(module, BatchNorm2d):
-                module.deferred = replica.folds
-    replica.folds.clear()
-    replica.set_training(True)
+def _replica(model, folds):
+    """A copy of model for one step's second half. Its parameter tensors
+    hold the model's arrays but gather their own gradients, and it
+    shares the model's running buffers, which a train-mode forward never
+    reads. Its batch norms do not write them: an instance fold, shadowing
+    the method, appends (the model's batch norm, mean, var) to folds."""
+    memo = {id(model.spec): model.spec}
+    memo.update((id(p.data), p.data) for _, p in model.named_params())
+    memo.update((id(b), b) for _, b in model.named_buffers())
+    replica = copy.deepcopy(model, memo)
     for r, m in zip(replica.modules(), model.modules()):
-        for name, p in m._params.items():
-            r._params[name].data, r._params[name].grad = p.data, None
-        r._buffers.update(m._buffers)
+        if isinstance(r, BatchNorm2d):
+            r.fold = lambda mean, var, bn=m: folds.append((bn, mean, var))
     return replica
 
 
@@ -244,40 +235,47 @@ def train_step(model, batch, state: AdamState):
     """forward -> loss -> backward -> Adam over one list of excerpts,
     averaging gradients across the excerpts. Returns the mean loss.
 
-    With two or more excerpts, the excerpts past the first half run on
-    autodiff's worker thread (second_thread, BLAS at one thread) against
-    the model's replica (_replica) while the caller runs the first half
-    against the model. Once both are done, the replica's gradients are
-    added into the model's and its batch-norm folds run after the
-    model's own, so the running statistics, like the losses, are bitwise
-    those of the sequential loop; the gradients differ from its by
-    rounding, as the halves are summed apart. A failure in either half
-    is raised once both are done, as the error the sequential loop would
-    raise first. The sequential loop runs where second_thread gives no
-    worker (inside row_threads among others) and for one excerpt.
+    With two or more excerpts, the first ceil(n / 2) run against the
+    model and the rest against a replica made for this step (_replica):
+    on autodiff's worker thread while the caller runs the first half,
+    where second_thread gives one (BLAS at one thread), and inline after
+    the first half where it does not. Then the replica's gradients are
+    added into the model's in parameter order, and its batch-norm
+    statistics folded into the model's in excerpt order. So a step gives
+    the same bits with or without the worker; its losses and running
+    statistics are bitwise those of a loop over the excerpts on the
+    model, and its gradients differ from that loop's by rounding, as the
+    halves are summed apart. An error in the first half is raised once
+    the worker's half is done, without the merge; one in the second half
+    after the merge, so the model is left as that loop would leave it.
     """
     model.set_training(True)
     model.zero_grad()
-    step = state.step + 1
-    with ad.second_thread() if len(batch) > 1 else contextlib.nullcontext() as worker:
-        if worker is None:
-            losses = _run_excerpts(model, batch, len(batch), step)
-        else:
-            half = (len(batch) + 1) // 2
-            replica = _replica(model)
-            future = worker.submit(_run_excerpts, replica, batch[half:], len(batch), step)
+    step, n = state.step + 1, len(batch)
+    if n < 2:
+        losses = _run_excerpts(model, batch, n, step)
+    else:
+        half, folds = (n + 1) // 2, []
+        replica = _replica(model, folds)
+        with ad.second_thread() as worker:
+            future = None if worker is None else worker.submit(
+                _run_excerpts, replica, batch[half:], n, step)
             try:
-                losses = _run_excerpts(model, batch[:half], len(batch), step)
+                losses = _run_excerpts(model, batch[:half], n, step)
             finally:
-                future.exception()  # waits for the worker's half
-            for (_, r), (_, p) in zip(replica.named_params(), model.named_params()):
-                if r.grad is not None:
-                    p._accumulate(r.grad, fresh=True)
-                    r.grad = None
-            for fold in replica.folds:
-                fold()
-            losses += future.result()
-        loss = float(np.mean(losses))
+                if future is not None:
+                    future.exception()  # waits for the worker's half
+            try:
+                losses += (_run_excerpts(replica, batch[half:], n, step) if future is None
+                           else future.result())
+            finally:
+                for (_, r), (_, p) in zip(replica.named_params(), model.named_params()):
+                    if r.grad is not None:
+                        p._accumulate(r.grad, fresh=True)
+                        r.grad = None  # one gradient set, not two, through Adam
+                for bn, mean, var in folds:
+                    bn.fold(mean, var)
+    loss = float(np.mean(losses))
     adam_step(dict(model.named_params()), state)
     return loss
 

@@ -7,7 +7,8 @@ import pytest
 
 from gradcheck import grad_check, tsum
 from stemsep import autodiff as ad
-from threads import fake_blas, one_blas_thread, record_worker_jobs, two_blas_threads
+from threads import (ONE_THREAD_HOSTS, fake_host, one_blas_thread, record_worker_jobs,
+                     two_blas_threads)
 from stemsep.layers import BiLSTM, Conv2d
 from stemsep.model import DenseLayer
 
@@ -283,7 +284,7 @@ def test_conv2d_row_blocks_split_across_threads(monkeypatch):
     three (7 rows) in order, each through its own reader, both made on
     the caller's thread. The output is bitwise the sequential one."""
     monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, 3, 3, 4, np.float64))
-    counts = fake_blas(monkeypatch)
+    counts = fake_host(monkeypatch)
     jobs = record_worker_jobs(monkeypatch)
     rng = np.random.default_rng(3)
     x = rand(rng, 4, 13, 4)
@@ -550,7 +551,7 @@ def test_row_threads_stay_bitwise_under_frequent_thread_switches(monkeypatch):
     forwards of the dense layer op over 12 row blocks each give bitwise
     the sequential output: the halves share only out, in disjoint rows."""
     monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, 3, 3, 5, np.float32, 2))
-    fake_blas(monkeypatch)
+    fake_host(monkeypatch)
     run = split_conv_runs(np.random.default_rng(9), np.float32, 3, 23)[1]
     want = run()
     interval = sys.getswitchinterval()
@@ -563,16 +564,13 @@ def test_row_threads_stay_bitwise_under_frequent_thread_switches(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("blas, cores", [(None, 2), (1, 2), (2, 1)])
+@pytest.mark.parametrize("blas, cores", list(ONE_THREAD_HOSTS.values()))
 def test_row_threads_fall_back_to_the_sequential_path(monkeypatch, blas, cores):
     """With no BLAS thread control (MKL, Accelerate), BLAS at one thread
     or one core to run on, the scope changes nothing: the worker gets no
     job and the BLAS thread count is left alone."""
     monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, 3, 3, 5, np.float64))
-    counts = fake_blas(monkeypatch, blas or 2)
-    if blas is None:
-        monkeypatch.setattr(ad, "_blas_threads", lambda: None)
-    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    counts = fake_host(monkeypatch, blas, cores)
     jobs = record_worker_jobs(monkeypatch)
     run = split_conv_runs(np.random.default_rng(6), np.float64, 3, 7)[0]
     want = run()
@@ -590,7 +588,7 @@ def test_row_threads_raise_after_both_halves_and_reset_blas(monkeypatch, bad_row
     scope then resets BLAS and drops the worker; a nested scope leaves
     both to the outer one."""
     monkeypatch.setattr(ad, "CONV_TILE_BYTES", tile_bytes(2, 1, 1, 5, np.float64))
-    counts = fake_blas(monkeypatch)
+    counts = fake_host(monkeypatch)
     rng = np.random.default_rng(7)
     x = rand(rng, 4, 7, 5)
     w, b = ad.constant(rand(rng, 2, 4, 1, 1)), ad.constant(rand(rng, 2))

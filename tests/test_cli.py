@@ -413,6 +413,34 @@ def test_bad_arch_exit_code(tmp_path, data_dir):
     assert rc == 4
 
 
+@pytest.mark.parametrize("case,stems,code,kind", [
+    ("no track", (), 3, "input"),
+    ("no stems", ("mixture",), 3, "input"),
+    ("no vocals", ("mixture", "drums"), 3, "input"),
+    ("too short", ("mixture", "vocals"), 5, "data"),
+])
+def test_train_dataset_error_exit_code(capsys, tmp_path, toy_arch_file, data_dir,
+                                       case, stems, code, kind):
+    """A dataset missing a file training needs exits 3, and a track too
+    short for one excerpt (1,200 samples, under 16 frames of the toy
+    arch's 256-point STFT) exits 5; the message names the dataset or
+    track."""
+    root = tmp_path / "data"
+    track = root / "track00"
+    os.makedirs(track)
+    for name in stems:
+        clip = read_wav(os.path.join(data_dir, "track00", name + ".wav"))
+        cut = 1200 if case == "too short" else clip.num_samples
+        write_wav(os.path.join(track, name + ".wav"),
+                  AudioClip(clip.samples[:, :cut], clip.sample_rate))
+    rc = cli.main(["train", str(root), "--out", str(tmp_path / "c.ckpt"),
+                   "--arch", toy_arch_file, "--steps", "1", "--frames", "16"])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert "error (%s): " % kind in err
+    assert repr(str(root if case == "no track" else track)) in err
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--window", "0.00001", "scoring window of 1e-05 s is under one sample at 8000 Hz"),
     ("--hop", "0", "scoring hop of 0 s is under one sample at 8000 Hz"),

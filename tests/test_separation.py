@@ -16,7 +16,8 @@ from stemsep.separation import (
     separate_track,
     soft_mask,
 )
-from threads import one_blas_thread, record_worker_jobs, two_blas_threads
+from threads import (ONE_THREAD_HOSTS, fake_host, one_blas_thread, record_worker_jobs,
+                     two_blas_threads)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +382,7 @@ def test_separation_is_reproducible_with_row_threads(monkeypatch):
         runs = [separate_track(models, clip) for _ in range(2)]
         assert jobs and blas[0]() == 2
         split = len(jobs)
-        monkeypatch.setattr(ad, "_blas_threads", lambda: None)
+        fake_host(monkeypatch, *ONE_THREAD_HOSTS["no BLAS control"])
         with one_blas_thread(blas):
             runs.append(separate_track(models, clip))
         assert len(jobs) == split

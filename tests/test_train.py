@@ -29,7 +29,8 @@ from stemsep.train import (
     train,
     train_step,
 )
-from threads import fake_blas, one_blas_thread, record_worker_jobs, two_blas_threads
+from threads import (ONE_THREAD_HOSTS, fake_host, one_blas_thread, record_worker_jobs,
+                     two_blas_threads)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +184,7 @@ def test_toy_tracks_differ_across_indices(toy_dir):
 def test_list_tracks(toy_dir, tmp_path):
     tracks = list_tracks(toy_dir)
     assert len(tracks) == 2
-    with pytest.raises(TrainError):
+    with pytest.raises(dsp.InputError, match="no track directories"):
         list_tracks(tmp_path)
 
 
@@ -237,7 +238,7 @@ def test_train_step_takes_the_sequential_path(toy_dir, monkeypatch):
     made the row worker, the step gives it no job, leaves the BLAS
     thread count alone, and is bitwise the step before the separation."""
     monkeypatch.setattr(ad, "CONV_TILE_BYTES", 4 << 10)
-    counts = fake_blas(monkeypatch)
+    counts = fake_host(monkeypatch)
     jobs = record_worker_jobs(monkeypatch)
     clips = load_track(os.path.join(toy_dir, "track00"))
     batch = [make_excerpt(clips["mixture"], clips["vocals"], 0, 16, fft_size=256)]
@@ -281,7 +282,22 @@ def step_record(monkeypatch, model, batch):
     return loss, grads, [b.copy() for _, b in model.named_buffers()]
 
 
-GRAD_RTOL = {np.float32: 1e-4, np.float64: 1e-12}  # of the largest |gradient|, split vs sequential
+def loop_record(model, batch):
+    """The oracle of a step: forward -> loss -> backward of each excerpt
+    on the model in turn, the gradients summed in one set. Returns what
+    step_record does, without the Adam step."""
+    model.set_training(True)
+    model.zero_grad()
+    losses = []
+    for mix_mag, tgt_mag in batch:
+        loss = mse_loss(model.forward(mix_mag), ad.constant(tgt_mag))
+        ad.scale(loss, 1.0 / len(batch)).backward()
+        losses.append(float(loss.data))
+    return (float(np.mean(losses)), [p.grad.copy() for _, p in model.named_params()],
+            [b.copy() for _, b in model.named_buffers()])
+
+
+GRAD_RTOL = {np.float32: 1e-4, np.float64: 1e-12}  # of the largest |gradient|, split vs loop
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -289,25 +305,22 @@ GRAD_RTOL = {np.float32: 1e-4, np.float64: 1e-12}  # of the largest |gradient|, 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_split_step_matches_the_sequential_loop(toy_dir, monkeypatch, n, mode, dtype):
     """A step of n excerpts split across two threads, the worker taking
-    the last n // 2, against the sequential loop at one BLAS thread: the
-    loss and every BN running mean and variance bitwise, every gradient
-    within GRAD_RTOL of the largest one."""
+    the last n // 2, against a loop over the excerpts that sums their
+    gradients in one set (loop_record) at one BLAS thread: the loss and
+    every BN running mean and variance bitwise, every gradient within
+    GRAD_RTOL of the largest one."""
     batch = toy_batch(toy_dir, n)
     spec = dataclasses.replace(toy_arch(), mode=mode)
-    runs = []
     with two_blas_threads(monkeypatch) as blas:
         jobs = record_worker_jobs(monkeypatch)
-        for split in (False, True):
-            model = build_model(spec, seed=11).astype(dtype)
-            if split:
-                runs.append(step_record(monkeypatch, model, batch))
-            else:
-                with one_blas_thread(blas):
-                    runs.append(step_record(monkeypatch, model, batch))
-            assert len(jobs) == split
-    (want_loss, want_grads, want_stats), (loss, grads, stats) = runs
+        with one_blas_thread(blas):
+            want_loss, want_grads, want_stats = loop_record(
+                build_model(spec, seed=11).astype(dtype), batch)
+        loss, grads, stats = step_record(monkeypatch, build_model(spec, seed=11).astype(dtype),
+                                         batch)
+        assert len(jobs) == 1
     assert loss == want_loss
-    for got, want in zip(stats, want_stats):
+    for got, want in zip(stats, want_stats, strict=True):
         np.testing.assert_array_equal(got, want, strict=True)
     atol = GRAD_RTOL[dtype] * max(np.abs(g).max() for g in want_grads)
     assert len(grads) == len(want_grads)
@@ -319,7 +332,7 @@ def test_split_step_matches_the_sequential_loop(toy_dir, monkeypatch, n, mode, d
 def test_split_training_is_bitwise_reproducible(toy_dir, monkeypatch):
     """Criterion 10 with the split: two training runs of 3 excerpts per
     step give bitwise-equal loss traces and parameters."""
-    fake_blas(monkeypatch)
+    fake_host(monkeypatch)
     jobs = record_worker_jobs(monkeypatch)
     results = []
     for _ in range(2):
@@ -336,7 +349,7 @@ def test_split_steps_stay_bitwise_under_frequent_thread_switches(toy_dir, monkey
     """30 split steps with the interpreter switching threads every
     microsecond give the loss trace and parameters of the same steps at
     the default switch interval."""
-    fake_blas(monkeypatch)
+    fake_host(monkeypatch)
     batch = toy_batch(toy_dir, 2)
     runs = []
     for interval in (sys.getswitchinterval(), 1e-6):
@@ -353,40 +366,49 @@ def test_split_steps_stay_bitwise_under_frequent_thread_switches(toy_dir, monkey
         np.testing.assert_array_equal(a, b, strict=True)
 
 
-@pytest.mark.parametrize("case", ["no BLAS control", "1 BLAS thread", "1 core", "batch 1",
-                                  "inside row_threads"])
-def test_train_step_falls_back_to_the_sequential_loop(toy_dir, monkeypatch, case):
-    """Where the worker cannot use a second core, or there is one
-    excerpt, the step gives the worker no job and leaves the BLAS thread
-    count as it found it."""
-    counts = fake_blas(monkeypatch, threads=1 if case == "1 BLAS thread" else 2)
-    jobs = record_worker_jobs(monkeypatch)
-    if case == "no BLAS control":
-        monkeypatch.setattr(ad, "_blas_threads", lambda: None)
-    if case == "1 core":
-        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    batch = toy_batch(toy_dir, 1 if case == "batch 1" else 2)
-    model = build_model(toy_arch(), seed=8)
-    with ad.row_threads() if case == "inside row_threads" else contextlib.nullcontext():
-        before = list(counts)
-        train_step(model, batch, AdamState())
-        assert counts == before
-    assert jobs == []
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["Sa", "Sb", "P"])
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("host", [*ONE_THREAD_HOSTS, "inside row_threads"])
+def test_train_step_runs_its_second_half_inline_without_a_worker(toy_dir, monkeypatch, host,
+                                                                 n, mode, dtype):
+    """Where the worker cannot use a second core, the step runs its
+    second half inline: it gives the worker no job, leaves the BLAS
+    thread count as it found it, and is bitwise the threaded step at one
+    BLAS thread: the loss, the gradients Adam gets and the running
+    statistics."""
+    batch = toy_batch(toy_dir, n)
+    spec = dataclasses.replace(toy_arch(), mode=mode)
+    with two_blas_threads(monkeypatch) as blas:
+        jobs = record_worker_jobs(monkeypatch)
+        want = step_record(monkeypatch, build_model(spec, seed=11).astype(dtype), batch)
+        assert len(jobs) == 1
+        with one_blas_thread(blas):
+            counts = fake_host(monkeypatch, *ONE_THREAD_HOSTS.get(host, (2, 2)))
+            with ad.row_threads() if host == "inside row_threads" else contextlib.nullcontext():
+                before = list(counts)
+                got = step_record(monkeypatch, build_model(spec, seed=11).astype(dtype), batch)
+                assert counts == before
+        assert len(jobs) == 1
+    assert got[0] == want[0]
+    for a, b in zip(got[1] + got[2], want[1] + want[2], strict=True):
+        np.testing.assert_array_equal(a, b, strict=True)
 
 
 @pytest.mark.parametrize("bad", [0, 3])
 def test_split_step_raises_the_sequential_error_after_both_halves(toy_dir, monkeypatch, bad):
     """A non-finite excerpt in the caller's half (0) or the worker's (3)
-    of 4: the split step raises the error the sequential loop raises,
-    once the worker's half has finished, with BLAS back at two threads,
-    and leaves the running statistics as the sequential loop does. In
+    of 4: the split step raises the error the step at one BLAS thread,
+    which runs the halves in turn, raises first, once the worker's half
+    has finished, with BLAS back at two threads, and leaves the running
+    statistics as that step does, as a loop over the excerpts would. In
     the caller's case the worker's half fails too, with another error,
     which is not the one raised; it is slowed so that it ends last."""
     batch = toy_batch(toy_dir, 4)
     batch[bad] = (np.full_like(batch[bad][0], np.nan), batch[bad][1])
     if bad == 0:
         batch[2] = (batch[2][0], batch[2][1][:, :-1])  # a target of the wrong shape
-    counts = fake_blas(monkeypatch, threads=1)
+    counts = fake_host(monkeypatch, threads=1)
     model = build_model(toy_arch(), seed=9)
     with pytest.raises(ad.NumericError, match="model input") as want:
         train_step(model, batch, AdamState())
@@ -421,7 +443,7 @@ def test_split_step_after_load_checkpoint_uses_the_loaded_weights(toy_dir, monke
     """Loading a checkpoint into a model that has taken split steps
     replaces its parameter arrays; the next split step runs both halves
     on the loaded ones, bitwise as a fresh model of those weights."""
-    fake_blas(monkeypatch)
+    fake_host(monkeypatch)
     batch = toy_batch(toy_dir, 2)
     source = build_model(toy_arch(), seed=12)
     save_checkpoint(tmp_path / "w.ckpt", source)

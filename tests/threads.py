@@ -1,5 +1,6 @@
-"""Helpers for tests of autodiff.row_threads: numpy's BLAS thread control,
-real or faked, two cores, and a record of the row worker's jobs."""
+"""Helpers for tests of autodiff.second_thread and its users (row_threads,
+train.train_step): numpy's BLAS thread control, real or faked, the
+host's cores, and a record of the row worker's jobs."""
 
 import contextlib
 import threading
@@ -13,12 +14,20 @@ def two_cores(monkeypatch):
     monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
-def fake_blas(monkeypatch, threads=2):
-    """Replace numpy's BLAS thread control by a list of thread counts,
-    the last one current, on a host of two cores; returns the list."""
-    counts = [threads]
-    monkeypatch.setattr(ad, "_blas_threads", lambda: (lambda: counts[-1], counts.append))
-    two_cores(monkeypatch)
+# hosts on which second_thread gives no worker: (BLAS threads, None for
+# no thread control as with MKL or Accelerate; cores)
+ONE_THREAD_HOSTS = {"no BLAS control": (None, 2), "1 BLAS thread": (1, 2), "1 core": (2, 1)}
+
+
+def fake_host(monkeypatch, threads=2, cores=2):
+    """Fake what second_thread reads of the host: numpy's BLAS thread
+    control, as a list of thread counts with the last one current, at
+    `threads` threads (None: no control), and `cores` cores to run on.
+    Returns the list."""
+    counts = [threads or 2]
+    control = None if threads is None else (lambda: counts[-1], counts.append)
+    monkeypatch.setattr(ad, "_blas_threads", lambda: control)
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     return counts
 
 
