@@ -57,8 +57,6 @@ __all__ = [
     "concat",
     "concat_view",
     "getitem",
-    "reshape",
-    "transpose2d",
 ]
 
 
@@ -395,20 +393,21 @@ def tmean(a):
 
 
 def affine(x, weight, bias):
-    """Rows of x mapped by weight (d_out, d_in) plus bias (d_out,)."""
-    if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
+    """Columns of x (d_in, n) mapped by weight (d_out, d_in) plus bias
+    (d_out,): weight @ x + bias[:, None]."""
+    if x.ndim != 2 or weight.ndim != 2 or x.shape[0] != weight.shape[1]:
         raise ShapeError("affine: x %r, weight %r" % (x.shape, weight.shape))
     if bias.shape != (weight.shape[0],):
         raise ShapeError("affine: bias %r, weight %r" % (bias.shape, weight.shape))
-    out_data = x.data @ weight.data.T + bias.data
+    out_data = weight.data @ x.data + bias.data[:, None]
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g @ weight.data)
+            x._accumulate(weight.data.T @ g)
         if weight.requires_grad:
-            weight._accumulate(g.T @ x.data)
+            weight._accumulate(g @ x.data.T)
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0))
+            bias._accumulate(g.sum(axis=1))
 
     return _make(out_data, (x, weight, bias), backward)
 
@@ -904,11 +903,11 @@ def concat_view(data, tensors, axis=0):
 
 
 def getitem(x, key):
-    """Basic (slice/int) indexing only; fancy indexing is not supported.
+    """Basic (slice/int/None) indexing only; fancy indexing is not supported.
 
     The backward adds g into the indexed part of x's gradient, made once
     as zeros, so n slices of x cost O(x.size + n * slice) and not
-    O(n * x.size): the BiLSTM takes one row of its (T, 4m) input
+    O(n * x.size): the BiLSTM takes one column of its (4m, T) input
     projection per step.
     """
     out_data = x.data[key]
@@ -918,27 +917,5 @@ def getitem(x, key):
             if x.grad is None:
                 x.grad = np.zeros_like(x.data)
             x.grad[key] += g
-
-    return _make(out_data, (x,), backward)
-
-
-def reshape(x, shape):
-    out_data = x.data.reshape(shape)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.reshape(x.shape))
-
-    return _make(out_data, (x,), backward)
-
-
-def transpose2d(x):
-    if x.ndim != 2:
-        raise ShapeError("transpose2d: expected 2-D, got %r" % (x.shape,))
-    out_data = x.data.T.copy()
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.T)
 
     return _make(out_data, (x,), backward)

@@ -217,6 +217,10 @@ def cmd_inspect(args):
 
 
 def cmd_synth_data(args):
+    if args.tracks < 1:
+        raise UsageError("--tracks must be >= 1, got %d" % args.tracks)
+    if not args.duration > 0:
+        raise UsageError("--duration must be > 0, got %g" % args.duration)
     tracks = make_toy_dataset(args.out, seed=args.seed, n_tracks=args.tracks,
                               duration_s=args.duration,
                               sample_rate=args.sample_rate)

@@ -139,6 +139,8 @@ class BatchNorm2d(Module):
 
 
 class Linear(Module):
+    """Maps a (d_in, T) map to (d_out, T), column by column."""
+
     def __init__(self, d_in, d_out, rng):
         super().__init__()
         self.weight = self.add_param("weight", _uniform_fan_in(rng, (d_out, d_in), d_in))
@@ -149,7 +151,8 @@ class Linear(Module):
 
 
 class BiLSTM(Module):
-    """Bidirectional LSTM over a (T, d) sequence; outputs (T, 2*units).
+    """Bidirectional LSTM over the columns of a (d, T) map; outputs
+    (2*units, T), the forward direction's units first.
 
     Gate order in the stacked weights is input, forget, candidate,
     output. Forget-gate biases start at 1, everything else at 0.
@@ -168,36 +171,36 @@ class BiLSTM(Module):
 
     def _run_direction(self, seq, tag, reverse):
         m = self.units
-        T = seq.shape[0]
+        T = seq.shape[1]
         wx = self._params[tag + "_wx"]
         wh = self._params[tag + "_wh"]
         b = self._params[tag + "_b"]
         # input projections for all steps at once
         zx = ad.affine(seq, wx, b)
-        h = ad.constant(np.zeros((1, m), dtype=seq.data.dtype))
-        c = ad.constant(np.zeros((1, m), dtype=seq.data.dtype))
+        h = ad.constant(np.zeros((m, 1), dtype=seq.data.dtype))
+        c = ad.constant(np.zeros((m, 1), dtype=seq.data.dtype))
         outputs = [None] * T
         steps = range(T - 1, -1, -1) if reverse else range(T)
         for t in steps:
-            z = ad.affine(h, wh, zx[t])  # step t's input projection is the bias
-            i = ad.sigmoid(z[:, 0:m])
-            f = ad.sigmoid(z[:, m:2 * m])
-            g = ad.tanh(z[:, 2 * m:3 * m])
-            o = ad.sigmoid(z[:, 3 * m:4 * m])
+            z = ad.affine(h, wh, zx[:, t])  # step t's input projection is the bias
+            i = ad.sigmoid(z[0:m])
+            f = ad.sigmoid(z[m:2 * m])
+            g = ad.tanh(z[2 * m:3 * m])
+            o = ad.sigmoid(z[3 * m:4 * m])
             c = ad.add(ad.mul(f, c), ad.mul(i, g))
             if not np.all(np.isfinite(c.data)):
                 raise ad.NumericError("non-finite LSTM cell state at step %d" % t)
             h = ad.mul(o, ad.tanh(c))
             outputs[t] = h
-        return ad.concat(outputs, axis=0)
+        return ad.concat(outputs, axis=1)
 
     def forward(self, seq):
-        if seq.ndim != 2 or seq.shape[1] != self.d_in:
+        if seq.ndim != 2 or seq.shape[0] != self.d_in:
             raise ad.ShapeError(
-                "BiLSTM: expected (T, %d), got %r" % (self.d_in, seq.shape)
+                "BiLSTM: expected (%d, T), got %r" % (self.d_in, seq.shape)
             )
-        if seq.shape[0] < 1:
+        if seq.shape[1] < 1:
             raise ad.ShapeError("BiLSTM: empty sequence")
         fw = self._run_direction(seq, "fw", reverse=False)
         bw = self._run_direction(seq, "bw", reverse=True)
-        return ad.concat([fw, bw], axis=1)
+        return ad.concat([fw, bw], axis=0)

@@ -111,22 +111,14 @@ class LstmBlock(Module):
 
     def __init__(self, c_in, freq_dim, units, rng):
         super().__init__()
-        self.freq_dim = freq_dim
         self.units = units
         self.reduce = self.add_child("reduce", Conv2d(c_in, 1, 1, 1, rng))
         self.lstm = self.add_child("lstm", BiLSTM(freq_dim, units, rng))
         self.expand = self.add_child("expand", Linear(2 * units, freq_dim, rng))
 
     def forward(self, x):
-        if x.shape[1] != self.freq_dim:
-            raise ad.ShapeError(
-                "LstmBlock built for f=%d got map with f=%d" % (self.freq_dim, x.shape[1])
-            )
-        m = self.reduce(x)  # (1, f, t)
-        seq = ad.transpose2d(ad.reshape(m, (m.shape[1], m.shape[2])))  # (t, f)
-        h = self.lstm(seq)  # (t, 2m)
-        y = self.expand(h)  # (t, f)
-        return ad.reshape(ad.transpose2d(y), (1, x.shape[1], x.shape[2]))
+        # (c, f, t) -> (f, t) -> (2m, t) -> (f, t) -> (1, f, t)
+        return self.expand(self.lstm(self.reduce(x)[0]))[None]
 
 
 class Slot(Module):

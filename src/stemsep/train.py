@@ -156,6 +156,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.frames_per_excerpt < 16:
             raise TrainError("frames_per_excerpt must be >= 16")
+        for name in ("excerpts_per_step", "steps_per_epoch"):
+            if getattr(self, name) < 1:
+                raise TrainError("%s must be >= 1" % name)
+        if self.epochs < 0:
+            raise TrainError("epochs must be >= 0")
         if self.source not in SOURCE_NAMES:
             raise TrainError("unknown target source %r" % self.source)
 
@@ -173,17 +178,28 @@ def make_excerpt(mixture_clip, target_clip, start_frame, frames,
     return mix_mag, tgt_mag / norm
 
 
-def build_excerpts(track_dirs, config: TrainConfig, rng, fft_size):
-    """Sample (mixture, target) magnitude excerpts of an fft_size-point
-    STFT across the tracks."""
+def build_excerpts(track_dirs, config: TrainConfig, rng, spec, epoch):
+    """Sample an epoch's (mixture, target) magnitude excerpts of the
+    spec's STFT. The run's excerpt i comes from track i mod the number
+    of tracks, so a run of as many excerpts as tracks reads them all.
+    Each track's WAVs must be at the spec's sample rate and of one
+    length."""
+    fft_size = spec.fft_size
     hop = hop_size(fft_size)
     excerpts = []
     n = config.steps_per_epoch * config.excerpts_per_step
-    for i in range(n):
+    for i in range(epoch * n, (epoch + 1) * n):
         track_dir = track_dirs[i % len(track_dirs)]
         clips = load_track(track_dir)
         if config.source not in clips:
             raise InputError("track %r lacks %s.wav" % (track_dir, config.source))
+        if any(c.sample_rate != spec.sample_rate for c in clips.values()):
+            raise InputError("track %r: WAVs at %s; the model runs at %d Hz" % (
+                track_dir, ", ".join("%s %d Hz" % (k, c.sample_rate) for k, c in clips.items()),
+                spec.sample_rate))
+        if len({c.num_samples for c in clips.values()}) > 1:
+            raise InputError("track %r: WAV lengths differ: %s" % (track_dir, ", ".join(
+                "%s %d" % (k, c.num_samples) for k, c in clips.items())))
         if config.augment:
             sources = {k: v for k, v in clips.items() if k != "mixture"}
             mixture, sources = augment(sources, rng.integers(2 ** 32))
@@ -297,7 +313,7 @@ def train(model, dataset_dir, config: TrainConfig):
             log = csv.writer(fh)
             log.writerow(["step", "epoch", "loss"])
         for epoch in range(config.epochs):
-            excerpts = build_excerpts(track_dirs, config, rng, model.spec.fft_size)
+            excerpts = build_excerpts(track_dirs, config, rng, model.spec, epoch)
             for step in range(config.steps_per_epoch):
                 batch = excerpts[step * config.excerpts_per_step:
                                  (step + 1) * config.excerpts_per_step]

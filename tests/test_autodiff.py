@@ -1130,8 +1130,9 @@ def test_relu_basic_and_grad():
 
 
 def test_linear_identity_and_oracle():
+    """affine maps the columns of a (d_in, n) x."""
     rng = np.random.default_rng(10)
-    x = rand(rng, 4, 3)
+    x = rand(rng, 3, 4)
     eye = np.eye(3)
     out = ad.affine(ad.constant(x), ad.constant(eye), ad.constant(np.zeros(3)))
     np.testing.assert_allclose(out.data, x)
@@ -1139,15 +1140,36 @@ def test_linear_identity_and_oracle():
     w = rand(rng, 5, 3)
     b = rand(rng, 5)
     out = ad.affine(ad.constant(x), ad.constant(w), ad.constant(b))
-    expected = np.zeros((4, 5))
+    expected = np.zeros((5, 4))
     for n in range(4):
         for o in range(5):
-            expected[n, o] = b[o] + sum(x[n, i] * w[o, i] for i in range(3))
+            expected[o, n] = b[o] + sum(w[o, i] * x[i, n] for i in range(3))
     np.testing.assert_allclose(out.data, expected, rtol=1e-6)
 
     zero_w = np.zeros((5, 3))
     out = ad.affine(ad.constant(x), ad.constant(zero_w), ad.constant(b))
-    np.testing.assert_allclose(out.data, np.tile(b, (4, 1)))
+    np.testing.assert_allclose(out.data, np.tile(b[:, None], (1, 4)))
+
+
+def test_affine_grad_check():
+    rng = np.random.default_rng(18)
+    x = ad.parameter(rng.standard_normal((3, 4)))
+    w = ad.parameter(rng.standard_normal((5, 3)))
+    b = ad.parameter(rng.standard_normal(5))
+
+    def build():
+        y = ad.affine(x, w, b)
+        return tsum(ad.mul(y, y))
+
+    report = grad_check(build, [("x", x), ("w", w), ("b", b)], rng=rng, max_entries=6)
+    assert report["passed"], report
+
+
+def test_affine_rejects_rows_of_the_input_width():
+    """A (n, d_in) x, the row layout, is a shape error unless n == d_in."""
+    with pytest.raises(ad.ShapeError, match="affine: x"):
+        ad.affine(ad.constant(np.ones((4, 3))), ad.constant(np.ones((5, 3))),
+                  ad.constant(np.zeros(5)))
 
 
 def test_concat_channels_order_and_grad():
@@ -1299,9 +1321,9 @@ def test_bilstm_zero_weights_zero_output():
     lstm = BiLSTM(3, 4, rng)
     for name in list(lstm._params):
         lstm._params[name].data[...] = 0.0
-    seq = ad.constant(rng.standard_normal((5, 3)))
+    seq = ad.constant(rng.standard_normal((5, 3)).T)
     out = lstm(seq)
-    assert out.shape == (5, 8)
+    assert out.shape == (8, 5)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
@@ -1311,19 +1333,19 @@ def test_bilstm_time_reversal_symmetry():
     # tie the two directions so reversal maps one exactly onto the other
     for suffix in ("wx", "wh", "b"):
         lstm._params["bw_" + suffix].data[...] = lstm._params["fw_" + suffix].data
-    x = rng.standard_normal((6, 3))
+    x = rng.standard_normal((6, 3)).T
     out = lstm(ad.constant(x)).data
-    out_rev = lstm(ad.constant(x[::-1].copy())).data
+    out_rev = lstm(ad.constant(x[:, ::-1].copy())).data
     m = 4
     # forward half of reversed run equals reversed backward half and vice versa
-    np.testing.assert_allclose(out_rev[:, :m], out[::-1, m:], atol=1e-12)
-    np.testing.assert_allclose(out_rev[:, m:], out[::-1, :m], atol=1e-12)
+    np.testing.assert_allclose(out_rev[:m], out[m:, ::-1], atol=1e-12)
+    np.testing.assert_allclose(out_rev[m:], out[:m, ::-1], atol=1e-12)
 
 
 def test_bilstm_grad_check():
     rng = np.random.default_rng(16)
     lstm = BiLSTM(2, 2, rng)
-    x = ad.constant(rng.standard_normal((3, 2)))
+    x = ad.constant(rng.standard_normal((3, 2)).T)
 
     def build():
         y = lstm(x)
@@ -1349,19 +1371,19 @@ def getitem_reference(x, key):
 
 @pytest.mark.parametrize("graph", ["bilstm", "mixed"])
 def test_getitem_gradients_equal_per_slice_zero_arrays(monkeypatch, graph):
-    """The BiLSTM's per-step rows of its input projection, and slices of
-    a tensor that is also used whole, give the same gradients (==) as
+    """The BiLSTM's per-step columns of its input projection, and slices
+    of a tensor that is also used whole, give the same gradients (==) as
     the reference backward."""
     rng = np.random.default_rng(17)
     lstm = BiLSTM(3, 4, rng)
-    x = ad.parameter(rng.standard_normal((9, 3)))
+    x = ad.parameter(rng.standard_normal((9, 3)).T)
     params = [x] + [p for _, p in lstm.named_params()]
 
     def loss():
         if graph == "bilstm":
             y = lstm(x)
         else:
-            y = ad.concat([ad.mul(x, x), x[2:7], x[1:3], x[4:5]], axis=0)
+            y = ad.concat([ad.mul(x, x), x[:, 2:7], x[:, 1:3], x[:, 4:5]], axis=1)
         return tsum(ad.mul(y, y))
 
     grads = []

@@ -418,27 +418,67 @@ def test_bad_arch_exit_code(tmp_path, data_dir):
     ("no stems", ("mixture",), 3, "input"),
     ("no vocals", ("mixture", "drums"), 3, "input"),
     ("too short", ("mixture", "vocals"), 5, "data"),
+    ("other rate", ("mixture", "vocals"), 3, "input"),
+    ("short vocals", ("mixture", "drums", "vocals"), 3, "input"),
 ])
+@pytest.mark.parametrize("augment", [False, True])
 def test_train_dataset_error_exit_code(capsys, tmp_path, toy_arch_file, data_dir,
-                                       case, stems, code, kind):
-    """A dataset missing a file training needs exits 3, and a track too
-    short for one excerpt (1,200 samples, under 16 frames of the toy
-    arch's 256-point STFT) exits 5; the message names the dataset or
-    track."""
+                                       case, stems, code, kind, augment):
+    """A dataset missing a file training needs, a track at a rate other
+    than the arch's (16 kHz for 8 kHz) or a vocals.wav 100 samples
+    shorter than the mixture exits 3, and a track too short for one
+    excerpt (1,200 samples, under 16 frames of the toy arch's 256-point
+    STFT) exits 5, with or without --augment; the message names the
+    dataset or track. No checkpoint is written."""
     root = tmp_path / "data"
     track = root / "track00"
     os.makedirs(track)
     for name in stems:
         clip = read_wav(os.path.join(data_dir, "track00", name + ".wav"))
-        cut = 1200 if case == "too short" else clip.num_samples
-        write_wav(os.path.join(track, name + ".wav"),
-                  AudioClip(clip.samples[:, :cut], clip.sample_rate))
+        cut = {"too short": 1200,
+               "short vocals": clip.num_samples - 100 * (name == "vocals")}.get(
+                   case, clip.num_samples)
+        rate = 16000 if case == "other rate" else clip.sample_rate
+        write_wav(os.path.join(track, name + ".wav"), AudioClip(clip.samples[:, :cut], rate))
     rc = cli.main(["train", str(root), "--out", str(tmp_path / "c.ckpt"),
-                   "--arch", toy_arch_file, "--steps", "1", "--frames", "16"])
+                   "--arch", toy_arch_file, "--steps", "1", "--frames", "16"]
+                  + ["--augment"] * augment)
     err = capsys.readouterr().err
     assert rc == code
     assert "error (%s): " % kind in err
     assert repr(str(root if case == "no track" else track)) in err
+    assert not (tmp_path / "c.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag,value,field,bound", [
+    ("--steps", "0", "steps_per_epoch", ">= 1"),
+    ("--batch", "0", "excerpts_per_step", ">= 1"),
+    ("--epochs", "-1", "epochs", ">= 0"),
+])
+def test_train_count_error_exit_code(capsys, tmp_path, toy_arch_file, data_dir,
+                                     flag, value, field, bound):
+    """A train count that trains nothing exits 4 before any work; no
+    checkpoint is written."""
+    rc = cli.main(["train", data_dir, "--out", str(tmp_path / "c.ckpt"),
+                   "--arch", toy_arch_file, "--frames", "16", flag, value])
+    assert rc == 4
+    assert "error (config): %s must be %s" % (field, bound) in capsys.readouterr().err
+    assert not (tmp_path / "c.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--tracks", "0", "--tracks must be >= 1, got 0"),
+    ("--duration", "0", "--duration must be > 0, got 0"),
+    ("--duration", "-1", "--duration must be > 0, got -1"),
+])
+def test_synth_data_flag_error_exit_code(capsys, tmp_path, flag, value, message):
+    """synth-data exits 2 on a track count under 1 or a duration that is
+    not positive, before it writes any file."""
+    out = tmp_path / "out"
+    rc = cli.main(["synth-data", str(out), "--sample-rate", "8000", flag, value])
+    assert rc == 2
+    assert "error (usage): %s" % message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value,message", [

@@ -9,6 +9,7 @@ import pytest
 
 from closed_forms import lstm_block_param_count
 from gradcheck import tsum
+from row_lstm import bilstm_rows, lstm_block_rows, transpose2d
 from stemsep import autodiff as ad
 from stemsep import model as mdl
 from stemsep.arch import (
@@ -20,6 +21,7 @@ from stemsep.arch import (
     reduce_spec,
     toy_arch,
 )
+from stemsep.layers import BiLSTM
 from stemsep.model import BandNet, DenseBlock, LstmBlock, SeparationModel, Slot
 from structure import model_wiring, slot_wiring
 from threads import one_blas_thread, record_worker_jobs, two_blas_threads
@@ -90,12 +92,12 @@ def dense_blocks(module):
         yield from dense_blocks(child)
 
 
-def assert_runs_bitwise_equal(module, dtype, training, inputs, run, reference):
-    """run() and reference() build the same output from module's state.
-    From the same running statistics, each gives a bitwise equal output
-    of the dtype (also under no_grad in eval mode), gradients of every
-    input tensor and parameter for the loss sum(y * y), and running
-    statistics."""
+def run_records(module, dtype, training, inputs, run, reference):
+    """The records of run() and of reference(), which build the same
+    output of the dtype from module's state. From the same running
+    statistics, each records its output (first under no_grad too, in
+    eval mode), the gradients of every input tensor and parameter for
+    the loss sum(y * y), and the running statistics."""
     module.set_training(training)
     start = [b.copy() for _, b in module.named_buffers()]
     leaves = inputs + [p for _, p in module.named_params()]
@@ -114,10 +116,34 @@ def assert_runs_bitwise_equal(module, dtype, training, inputs, run, reference):
         tsum(ad.mul(y, y)).backward()
         record += [y.data.copy()] + [p.grad for p in leaves]
         records.append(record + [b.copy() for _, b in module.named_buffers()])
-    got, want = records
-    assert all(g is not None for g in got)
+    assert all(g is not None for g in records[0])
+    return records
+
+
+def assert_runs_bitwise_equal(module, dtype, training, inputs, run, reference):
+    """run_records of run() and reference() are bitwise equal."""
+    got, want = run_records(module, dtype, training, inputs, run, reference)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b, strict=True)
+
+
+LAYOUT_RTOL = {np.float32: 1e-5, np.float64: 1e-12}  # of each array's peak |value|
+
+
+def assert_runs_close(module, dtype, training, inputs, run, reference):
+    """run_records of run() and reference() agree: outputs and running
+    statistics within LAYOUT_RTOL of each reference array's peak, and
+    gradients within LAYOUT_RTOL of the largest reference gradient, as
+    test_train's GRAD_RTOL, since a gradient whose exact value is 0 (a
+    conv bias ahead of a train-mode batch norm) holds only rounding."""
+    got, want = run_records(module, dtype, training, inputs, run, reference)
+    n_out = 1 if training else 2
+    grads = range(n_out, n_out + len(inputs) + len(list(module.named_params())))
+    grad_peak = max(np.abs(want[i]).max() for i in grads)
+    for i, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert a.dtype == b.dtype == dtype
+        peak = grad_peak if i in grads else np.abs(b).max()
+        np.testing.assert_allclose(a, b, rtol=0, atol=LAYOUT_RTOL[dtype] * peak)
 
 
 # the channel parts a dense block's 4-channel input is given as
@@ -247,6 +273,54 @@ def test_lstm_block_zero_weights_zero_map_and_shape():
         out = blk(x)
         assert out.shape == (1, 8, t)
         np.testing.assert_allclose(out.data, 0.0)
+
+
+def test_lstm_block_rejects_a_map_of_another_height():
+    blk = LstmBlock(3, 8, 4, RNG())
+    with pytest.raises(ad.ShapeError, match=r"BiLSTM: expected \(8, T\), got \(7, 5\)"):
+        blk(ad.constant(RNG(3).standard_normal((3, 7, 5))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("training", [False, True])
+def test_lstm_layers_match_the_row_layout_oracle(dtype, training):
+    """A BiLSTM on a (features, frames) map, and an LstmBlock, against
+    the row layout they had (row_lstm): outputs, and the gradients of
+    every parameter and of the input (assert_runs_close)."""
+    lstm = BiLSTM(5, 4, RNG(50)).astype(dtype)
+    x = ad.parameter(RNG(51).standard_normal((5, 9)).astype(dtype))
+    assert_runs_close(lstm, dtype, training, [x], lambda: lstm(x),
+                      lambda: transpose2d(bilstm_rows(lstm, transpose2d(x))))
+    blk = LstmBlock(3, 8, 4, RNG(52)).astype(dtype)
+    x = ad.parameter(RNG(53).standard_normal((3, 8, 6)).astype(dtype))
+    assert_runs_close(blk, dtype, training, [x], lambda: blk(x),
+                      lambda: lstm_block_rows(blk, x))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["Sa", "Sb", "P"])
+@pytest.mark.parametrize("training", [False, True])
+def test_toy_model_matches_the_row_layout_lstm_oracle(dtype, mode, training):
+    """The toy model against itself with its LSTM blocks in the row
+    layout (row_lstm): a train-mode forward and backward, and an eval
+    forward with grad on and under no_grad: outputs, gradients and
+    running statistics (assert_runs_close)."""
+    m = SeparationModel(dataclasses.replace(toy_arch(), mode=mode), seed=54).astype(dtype)
+    randomize_running_stats(m, RNG(55))
+    mag = np.abs(RNG(56).standard_normal((2, m.spec.num_bins, 12))).astype(dtype)
+    blocks = [b for b in m.modules() if isinstance(b, LstmBlock)]
+    assert blocks
+
+    def reference():
+        for block in blocks:
+            block.forward = lambda v, block=block: lstm_block_rows(block, v)
+        try:
+            return m.forward(mag)
+        finally:
+            for block in blocks:
+                del block.forward
+
+    assert_runs_close(m, dtype, training, [], lambda: m.forward(mag), reference)
 
 
 def test_sa_slot_concat_leaves_other_channels_untouched():

@@ -206,6 +206,14 @@ def test_config_validation():
         toy_config(source="keyboard")
 
 
+@pytest.mark.parametrize("field,value", [("steps_per_epoch", 0), ("excerpts_per_step", 0),
+                                         ("epochs", -1)])
+def test_config_rejects_counts_that_train_nothing(field, value):
+    with pytest.raises(TrainError, match="%s must be >= %d" % (field, value + 1)):
+        toy_config(**{field: value})
+    assert getattr(toy_config(**{field: value + 1}), field) == value + 1
+
+
 def test_excerpt_is_normalized_and_shaped(toy_dir):
     clips = load_track(os.path.join(toy_dir, "track00"))
     mix, tgt = make_excerpt(clips["mixture"], clips["vocals"], 2, 16, fft_size=256)
@@ -217,11 +225,27 @@ def test_excerpt_is_normalized_and_shaped(toy_dir):
 def test_build_excerpts_deterministic(toy_dir):
     cfg = toy_config()
     tracks = list_tracks(toy_dir)
-    a = build_excerpts(tracks, cfg, np.random.default_rng(0), 256)
-    b = build_excerpts(tracks, cfg, np.random.default_rng(0), 256)
+    a = build_excerpts(tracks, cfg, np.random.default_rng(0), toy_arch(), 0)
+    b = build_excerpts(tracks, cfg, np.random.default_rng(0), toy_arch(), 0)
     for (ma, ta), (mb, tb) in zip(a, b):
         np.testing.assert_array_equal(ma, mb)
         np.testing.assert_array_equal(ta, tb)
+
+
+def test_training_reads_every_track(tmp_path, monkeypatch):
+    """Excerpts are counted over the run, not per epoch: three epochs of
+    two one-excerpt steps read each of three tracks twice, in turn."""
+    make_toy_dataset(tmp_path, seed=7, n_tracks=3, duration_s=1.0, sample_rate=8000)
+    loaded = []
+    real_load = train_mod.load_track
+
+    def load(track_dir):
+        loaded.append(os.path.basename(track_dir))
+        return real_load(track_dir)
+
+    monkeypatch.setattr(train_mod, "load_track", load)
+    train(build_model(toy_arch(), seed=0), tmp_path, toy_config(epochs=3))
+    assert loaded == ["track00", "track01", "track02"] * 2
 
 
 def test_loss_decreases_on_fixed_batch(toy_dir):
